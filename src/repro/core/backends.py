@@ -232,8 +232,8 @@ class CSREngine:
     name = "csr"
 
     __slots__ = ("graph", "csr", "_scratch", "built_version", "_shm_pool",
-                 "relabel", "_storage", "_storage_dir", "_owns_csr",
-                 "resilience")
+                 "_process_downgraded", "relabel", "_storage", "_storage_dir",
+                 "_owns_csr", "resilience")
 
     def __init__(self, graph: Graph, csr: Optional[CSRGraph] = None,
                  relabel: Optional[str] = None,
@@ -241,6 +241,9 @@ class CSREngine:
                  storage_dir: Optional[str] = None) -> None:
         self.graph = graph
         self._shm_pool = None
+        #: Set by the first process->thread downgrade; later process passes
+        #: run on threads without spawning a pool until close().
+        self._process_downgraded = False
         #: Recovery tally for this engine's supervised dispatches (all-zero
         #: on a fault-free run); printed by ``kh-core --verbose``.
         self.resilience = ResilienceReport()
@@ -344,51 +347,39 @@ class CSREngine:
 
         Idempotent with respect to the pool; the engine remains usable for
         RAM snapshots afterwards (a later ``executor="process"`` bulk pass
-        simply spins the pool up again).  An *owned* mmap-backed snapshot is
+        simply spins the pool up again, even after a process->thread
+        downgrade).  An *owned* mmap-backed snapshot is
         closed too — its temp spill file is unlinked — so call ``close``
         only when done with the engine; supplied snapshots are left alone.
         """
         pool, self._shm_pool = self._shm_pool, None
         if pool is not None:
             pool.close()
+        self._process_downgraded = False
         if self._owns_csr and self.csr.storage_kind != "ram":
             self.csr.close()
 
     def _process_pool(self, num_workers: int,
                       start_method: Optional[str] = None):
         """Return the persistent shared-memory executor, (re)building it
-        when the requested worker count (or supervision mode) changes.
+        when the requested worker count changes.
 
-        By default the raw executor is wrapped in a
-        :class:`~repro.resilience.supervisor.SupervisedExecutor` sharing
-        this engine's :class:`ResilienceReport`; ``KH_CORE_SUPERVISED=0``
-        selects the unsupervised executor (benchmarks measure the
-        supervision overhead against it).
+        The executor records its recovery events in this engine's
+        :class:`ResilienceReport`.
         """
         from repro.parallel.pool import SharedMemoryExecutor
-        from repro.resilience.supervisor import (
-            SupervisedExecutor,
-            supervision_enabled,
-        )
-        supervised = supervision_enabled()
         pool = self._shm_pool
-        if pool is not None and (
-                pool.closed
-                or pool.num_workers != num_workers
-                or isinstance(pool, SupervisedExecutor) != supervised):
+        if pool is not None and (pool.closed
+                                 or pool.num_workers != num_workers):
             # A failed dispatch tears its executor down; discard it here so
             # the next process request recovers with a fresh pool instead
             # of erroring forever on the cached corpse.
             pool.close()
             pool = None
         if pool is None:
-            if supervised:
-                pool = SupervisedExecutor(num_workers,
-                                          start_method=start_method,
-                                          report=self.resilience)
-            else:
-                pool = SharedMemoryExecutor(num_workers,
-                                            start_method=start_method)
+            pool = SharedMemoryExecutor(num_workers,
+                                        start_method=start_method,
+                                        report=self.resilience)
             self._shm_pool = pool
         return pool
 
@@ -477,6 +468,8 @@ class CSREngine:
             targets = alive if alive is not None else range(self.csr.num_vertices)
         indices = list(targets)
 
+        if executor == "process" and self._process_downgraded:
+            executor = "thread"
         if executor == "process" and workers > 1 and len(indices) >= 2:
             indptr = self.csr.indptr
             weights = [indptr[i + 1] - indptr[i] for i in indices]
@@ -486,11 +479,11 @@ class CSREngine:
                                            counters=counters, weights=weights,
                                            engine_kind=self.name)
             except (WorkerPoolError, DeadlineExceededError):
-                # First rung of the degradation ladder: the supervised pool
-                # exhausted its retry/rebuild budget, so finish this pass
-                # (and run subsequent ones) on threads.  Only the
-                # supervisor raises these, so an unsupervised executor
-                # keeps its historical fail-fast contract.
+                # First rung of the degradation ladder: the pool exhausted
+                # its retry/rebuild budget, so finish this pass and every
+                # later one on threads until close() — re-spawning a pool
+                # per pass would burn the whole rebuild budget each time.
+                self._process_downgraded = True
                 self.resilience.record_downgrade("process", "thread")
                 if counters is not NULL_COUNTERS:
                     counters.bump("resilience.downgrades")

@@ -10,12 +10,13 @@ scheduler-agnostic dispatch for that fan-out:
   On CPython the GIL serializes pure-Python BFS, so this path is correct but
   does not scale; it exists for the paper-faithful structure and for
   workloads that release the GIL.
-* ``executor="process"`` — real cores.  The hot path
-  (:meth:`repro.core.backends.CSREngine.bulk_h_degrees`) routes through the
-  shared-memory engine in :mod:`repro.parallel` (CSR arrays exported once,
-  persistent worker pool, no graph pickling per task);
-  :func:`map_batches` additionally offers a generic process mode for
-  arbitrary *picklable* workers, used by tests and one-off callers.
+* ``executor="process"`` — real cores, through the shared-memory pool in
+  :mod:`repro.parallel` (CSR arrays exported once, persistent supervised
+  worker pool, no graph pickling per task), reached via
+  :meth:`repro.core.backends.CSREngine.bulk_h_degrees`.
+
+:func:`map_batches` is the in-process fan-out the serial and thread
+executors share; it never starts processes.
 
 Chunking is exact and optionally weight-balanced (:func:`chunk_plan`): with
 per-item weights (typically vertex degrees) chunks are packed
@@ -26,7 +27,7 @@ distributions from serializing the pass behind one heavy chunk.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ParameterError
@@ -104,62 +105,25 @@ def chunk_plan(items: Sequence, num_chunks: int,
     return [chunk for chunk in chunks if chunk]
 
 
-def _run_batch_in_process(worker, batch) -> Tuple[Dict, Counters]:
-    """Top-level trampoline for the generic process mode of map_batches.
-
-    Runs in the worker process: gives ``worker`` a private :class:`Counters`
-    (cross-process mutation of the caller's object is impossible) and ships
-    both the batch result and the counters back for merging.
-    """
-    local = Counters()
-    return worker(batch, local), local
-
-
 def map_batches(targets: Sequence, num_workers: int, worker,
-                counters: Counters = NULL_COUNTERS,
-                executor: str = "thread",
-                weights: Optional[Sequence[int]] = None) -> Dict:
-    """Fan ``targets`` out over an executor and merge the per-batch dicts.
+                counters: Counters = NULL_COUNTERS) -> Dict:
+    """Fan ``targets`` out over a thread pool and merge the per-batch dicts.
 
     ``worker(batch, local_counters)`` must return a dict for its batch and
     record instrumentation only into its private ``local_counters``; the
     locals are merged into ``counters`` after all workers finish, so the
-    reported totals are identical to a sequential run.
-
-    ``executor`` selects the scheduler: ``"serial"`` (one inline batch),
-    ``"thread"`` (the in-process pool; closures welcome) or ``"process"``
-    (a one-shot :class:`~concurrent.futures.ProcessPoolExecutor`; ``worker``
-    must then be picklable — a module-level function or a
-    :func:`functools.partial` over one).  The decomposition hot path does
-    **not** use the generic process mode: pickling a closure over the graph
-    per batch is exactly what the shared-memory engine
-    (:class:`repro.parallel.SharedMemoryExecutor`, reached through
-    :meth:`repro.core.backends.CSREngine.bulk_h_degrees`) exists to avoid.
-
-    ``weights`` (optional, one per target) activates balanced chunking for
-    skewed workloads — see :func:`chunk_plan`.
+    reported totals are identical to a sequential run.  With one worker (or
+    fewer than two targets) the single batch runs inline.
     """
-    _validate_executor(executor)
-    if executor == "serial" or num_workers <= 1 or len(targets) < 2:
+    if num_workers <= 1 or len(targets) < 2:
         local = Counters()
         merged = dict(worker(targets, local))
         if counters is not NULL_COUNTERS:
             counters.merge(local)
         return merged
 
-    batches = chunk_plan(targets, num_workers, weights=weights)
+    batches = chunk_plan(targets, num_workers)
     merged = {}
-    if executor == "process":
-        with ProcessPoolExecutor(max_workers=num_workers) as pool:
-            futures = [pool.submit(_run_batch_in_process, worker, batch)
-                       for batch in batches]
-            for future in futures:
-                out, local = future.result()
-                merged.update(out)
-                if counters is not NULL_COUNTERS:
-                    counters.merge(local)
-        return merged
-
     local_counters = [Counters() for _ in batches]
     with ThreadPoolExecutor(max_workers=num_workers) as pool:
         futures = [
@@ -254,5 +218,4 @@ def compute_h_degrees(graph: Graph, h: int,
             local.count_hdegree()
         return out
 
-    return map_batches(targets, workers, worker, counters,
-                       executor="thread")
+    return map_batches(targets, workers, worker, counters)

@@ -111,7 +111,7 @@ class ResilienceError(ReproError):
 class WorkerPoolError(ResilienceError):
     """The supervised worker pool exhausted its retry / rebuild budget.
 
-    Raised by :class:`~repro.resilience.supervisor.SupervisedExecutor` when a
+    Raised by :class:`~repro.parallel.pool.SharedMemoryExecutor` when a
     dispatch cannot be completed within the configured
     :class:`~repro.resilience.policies.RetryPolicy` — the signal for the
     engine's degradation ladder to fall back to the thread (then serial)

@@ -17,12 +17,14 @@ Layering
 * :mod:`repro.parallel.worker` — the per-process task entry point
   (:func:`run_chunk`) with its attach/alive caches.
 * :mod:`repro.parallel.pool` — :class:`SharedMemoryExecutor`: pool
-  lifecycle, version-stamped re-export, chunk dispatch, teardown.
+  lifecycle, version-stamped re-export, supervised chunk dispatch (retries,
+  pool rebuilds, round deadlines), teardown.  It is the only place a
+  worker process pool is built.
 
 Consumers select it through the ``executor="process"`` argument of the
 decomposition entry points (see :func:`repro.core.core_decomposition` and
-the ``kh-core --executor process --workers N`` CLI flags); the scheduling
-itself lives in :func:`repro.core.parallel.map_batches` and
+the ``kh-core --executor process --workers N`` CLI flags); the executor
+choice and the degradation ladder live in
 :meth:`repro.core.backends.CSREngine.bulk_h_degrees`.
 """
 

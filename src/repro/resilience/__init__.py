@@ -1,6 +1,6 @@
-"""Fault-tolerant execution layer: supervision, policies, janitors, chaos.
+"""Fault-tolerant execution layer: policies, janitors, chaos.
 
-Four pieces, layered so a decomposition *always* completes and crashes
+Three pieces, layered so a decomposition *always* completes and crashes
 never leak artifacts:
 
 * :mod:`repro.resilience.faults` — deterministic fault-injection harness
@@ -8,14 +8,14 @@ never leak artifacts:
 * :mod:`repro.resilience.policies` — :class:`RetryPolicy` (bounded retries,
   exponential backoff + jitter) and :class:`ResilienceReport` (what
   recovery cost);
-* :mod:`repro.resilience.supervisor` — :class:`SupervisedExecutor`, the
-  fault-tolerant wrapper over the shared-memory process pool;
 * :mod:`repro.resilience.janitor` — the ``kh-core doctor`` crash janitors.
 
+The supervised dispatch loop that spends the retry budgets lives in the
+process pool itself (:class:`repro.parallel.pool.SharedMemoryExecutor`).
 ``faults`` and ``policies`` are stdlib-light and import eagerly; the
-supervisor and janitor pull in the parallel/storage stacks and load
-lazily, so production probes compiled into those stacks can import this
-package without a cycle.
+janitor pulls in the parallel/storage/index stacks and loads lazily, so
+production probes compiled into those stacks can import this package
+without a cycle.
 """
 
 from __future__ import annotations
@@ -31,15 +31,11 @@ __all__ = [
     "should_fire",
     "ResilienceReport",
     "RetryPolicy",
-    "SupervisedExecutor",
-    "supervision_enabled",
     "DoctorReport",
     "run_doctor",
 ]
 
 _LAZY = {
-    "SupervisedExecutor": ("repro.resilience.supervisor", "SupervisedExecutor"),
-    "supervision_enabled": ("repro.resilience.supervisor", "supervision_enabled"),
     "DoctorReport": ("repro.resilience.janitor", "DoctorReport"),
     "run_doctor": ("repro.resilience.janitor", "run_doctor"),
 }

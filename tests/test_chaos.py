@@ -20,7 +20,7 @@ from repro.core.backends import numpy_available
 from repro.errors import CoreIndexError, FaultInjectedError, GraphFormatError
 from repro.graph import generators as gen
 from repro.instrumentation import Counters
-from repro.resilience import armed
+from repro.resilience import RetryPolicy, armed
 from repro.resilience.janitor import run_doctor
 from repro.runtime import ExecutionContext
 
@@ -53,20 +53,20 @@ def _strip_resilience(counts):
             if not k.startswith("resilience.")}
 
 
-def _reference(graph, h, engine_name):
+def _reference(graph, h, engine_name, algorithm="h-BZ"):
     counters = Counters()
     with ExecutionContext(graph, backend=engine_name, executor="serial",
                           counters=counters) as context:
-        result = core_decomposition(graph, h, algorithm="h-BZ",
+        result = core_decomposition(graph, h, algorithm=algorithm,
                                     context=context)
     return result, counters.as_dict()
 
 
-def _supervised(graph, h, engine_name):
+def _supervised(graph, h, engine_name, algorithm="h-BZ"):
     counters = Counters()
     with ExecutionContext(graph, backend=engine_name, executor="process",
                           num_workers=2, counters=counters) as context:
-        result = core_decomposition(graph, h, algorithm="h-BZ",
+        result = core_decomposition(graph, h, algorithm=algorithm,
                                     context=context)
         report = context.resilience
     return result, counters.as_dict(), report
@@ -105,6 +105,21 @@ class TestWorkerKill:
         assert got.removal_order == expected.removal_order
         assert any(d == "process->thread" for d in report.downgrades)
         assert got_counts["resilience.downgrades"] >= 1
+
+    def test_downgrade_lasts_for_the_rest_of_the_run(self):
+        """h-LB+UB runs many bulk passes: after the first process->thread
+        downgrade the rest must stay on threads, so one rebuild budget is
+        spent in total rather than one per pass."""
+        graph = _chaos_graph()
+        expected, _ = _reference(graph, 2, "csr", algorithm="h-LB+UB")
+        with armed("worker.kill=*;seed=1"):
+            got, got_counts, report = _supervised(graph, 2, "csr",
+                                                  algorithm="h-LB+UB")
+        assert got.core_index == expected.core_index
+        assert got.removal_order == expected.removal_order
+        assert report.downgrades == ["process->thread"]
+        assert got_counts["resilience.downgrades"] == 1
+        assert report.pool_rebuilds == RetryPolicy().max_pool_rebuilds + 1
 
 
 # --------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """Unit tests for the fault-tolerance layer (:mod:`repro.resilience`).
 
 Covers the deterministic fault-injection harness, the retry/backoff
-policies, the resilience report, the supervised executor's fault-free
+policies, the resilience report, the supervised pool dispatch's fault-free
 contract, the crash-safe pool teardown (the PR's satellite fix), and the
 ``kh-core doctor`` janitors.  The end-to-end chaos battery (faults armed
 against whole decompositions) lives in ``test_chaos.py``.
@@ -25,7 +25,7 @@ from repro.resilience import FaultPlan, ResilienceReport, RetryPolicy, armed
 from repro.resilience import faults
 from repro.resilience.janitor import DoctorReport, run_doctor
 from repro.resilience.policies import chunk_deadline_from_env
-from repro.resilience.supervisor import SupervisedExecutor, supervision_enabled
+from repro.parallel.pool import SharedMemoryExecutor
 
 
 # --------------------------------------------------------------------- #
@@ -175,7 +175,7 @@ class TestResilienceReport:
 
 
 # --------------------------------------------------------------------- #
-# supervised executor
+# supervised pool dispatch
 # --------------------------------------------------------------------- #
 def _h_degrees_serial(graph, h):
     from repro.core.backends import CSREngine
@@ -187,14 +187,7 @@ def _h_degrees_serial(graph, h):
         engine.close()
 
 
-class TestSupervisedExecutor:
-    def test_supervision_enabled_env_toggle(self, monkeypatch):
-        monkeypatch.delenv("KH_CORE_SUPERVISED", raising=False)
-        assert supervision_enabled()
-        for value in ("0", "false", "off", "no"):
-            monkeypatch.setenv("KH_CORE_SUPERVISED", value)
-            assert not supervision_enabled()
-
+class TestSupervisedDispatch:
     def test_fault_free_dispatch_matches_serial(self):
         faults.disarm()
         graph = relaxed_caveman_graph(4, 8, 0.2, seed=5)
@@ -203,7 +196,7 @@ class TestSupervisedExecutor:
 
         engine = CSREngine(graph)
         try:
-            with SupervisedExecutor(2) as pool:
+            with SharedMemoryExecutor(2) as pool:
                 counters = Counters()
                 got = pool.bulk_h_degrees(engine.csr, 2,
                                           list(range(engine.num_nodes)),
@@ -222,15 +215,15 @@ class TestSupervisedExecutor:
 
         engine = CSREngine(graph)
         try:
-            with SupervisedExecutor(2) as pool:
+            with SharedMemoryExecutor(2) as pool:
                 assert pool.bulk_h_degrees(engine.csr, 2, []) == {}
         finally:
             engine.close()
 
     def test_deterministic_error_propagates_unretried(self):
         """An application error (bad target index) must surface unchanged
-        on the first failure — the raw executor's contract — and close
-        the pool, not burn the retry budget on an unwinnable chunk."""
+        on the first failure and close the pool, not burn the retry
+        budget on an unwinnable chunk."""
         faults.disarm()
         graph = relaxed_caveman_graph(2, 6, 0.1, seed=3)
         from repro.core.backends import CSREngine
@@ -238,7 +231,7 @@ class TestSupervisedExecutor:
         engine = CSREngine(graph)
         try:
             counters = Counters()
-            pool = SupervisedExecutor(2)
+            pool = SharedMemoryExecutor(2)
             with pytest.raises(IndexError):
                 pool.bulk_h_degrees(engine.csr, 2,
                                     [engine.csr.num_vertices + 7],
