@@ -15,6 +15,27 @@ import sys
 import time
 from typing import Dict, Optional
 
+from repro.instrumentation import NULL_COUNTERS
+from repro.runtime import DictPeelState
+
+
+def force_dict_peel(monkeypatch) -> None:
+    """Peel through the dict layout on every engine, CSR included.
+
+    The engine picks the peel-state layout (flat arrays on CSR); layout
+    benchmarks measure the dict twin by swapping the factories the
+    execution context and the upper bound call.
+    """
+    from repro.core import bounds
+    from repro.runtime import context
+
+    def dict_state(engine, counters=NULL_COUNTERS):
+        return DictPeelState(counters)
+
+    monkeypatch.setattr(context, "make_peel_state", dict_state)
+    monkeypatch.setattr(bounds, "make_peel_state", dict_state)
+    monkeypatch.setattr(context, "make_core_map", lambda engine: {})
+
 
 def run_once(benchmark, function, *args, **kwargs):
     """Run an expensive experiment driver exactly once under the benchmark."""

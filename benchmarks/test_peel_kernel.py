@@ -1,9 +1,11 @@
 """Benchmark: array-native peel kernel vs dict peel state (CSR backend).
 
-The execution runtime selects a peel-state layout per engine
-(:mod:`repro.runtime.peel`): flat ``array('q')`` / intrusive-linked-list
-buckets on CSR, hash-based dicts otherwise.  Both layouts execute the *same*
-operation sequence — identical traversals, removal orders and counter totals
+The engine selects the peel-state layout (:mod:`repro.runtime.peel`): flat
+``array('q')`` / intrusive-linked-list buckets on CSR, hash-based dicts
+otherwise.  The dict runs here swap the state factories the execution
+context and the upper bound call (:func:`bench_utils.force_dict_peel`), so
+both layouts peel the same CSR engine.  They execute the *same* operation
+sequence — identical traversals, removal orders and counter totals
 (asserted in ``tests/test_peel_state.py``) — so the ratio measured here is a
 pure data-structure effect.
 
@@ -26,6 +28,9 @@ Two claims are asserted, not assumed:
    is a second-order cost.  These rows are reported for visibility; the
    guard only catches the array path regressing *below* the dict twin.
 
+Both claims time the two layouts in interleaved rounds (best of five), so
+drifting load on a shared machine hits both alike.
+
 Set ``KH_CORE_BENCH_QUICK=1`` (the CI smoke mode) to shrink the graphs.
 The quick-mode bar for claim 1 is relaxed (see ``REQUIRED_SPEEDUP_QUICK``):
 at small n the fixed costs shared by both layouts (bulk pass, LB2,
@@ -40,6 +45,7 @@ import time
 
 import pytest
 
+from bench_utils import force_dict_peel
 from repro.core import h_lb_ub
 from repro.graph.generators import (
     barabasi_albert_graph,
@@ -76,28 +82,22 @@ MAX_SPARSE_SLOWDOWN = 1.25
 
 def _run_once(graph, h, peel: str):
     """One timed h-LB+UB run under ``peel``; returns (seconds, result)."""
-    with ExecutionContext(graph, backend="csr", peel=peel) as context:
-        start = time.perf_counter()
-        result = h_lb_ub(graph, h, context=context)
-        return time.perf_counter() - start, result
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if peel == "dict":
+            force_dict_peel(monkeypatch)
+        with ExecutionContext(graph, backend="csr") as context:
+            start = time.perf_counter()
+            result = h_lb_ub(graph, h, context=context)
+            return time.perf_counter() - start, result
 
 
-def _timed(graph, h, peel: str, repeats: int = 2):
-    """Best-of-``repeats`` wall time (and result) of h-LB+UB under ``peel``."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        seconds, result = _run_once(graph, h, peel)
-        best = min(best, seconds)
-    return best, result
-
-
-def _timed_interleaved(graph, h, repeats: int = 3):
+def _timed_interleaved(graph, h, repeats: int = 5):
     """Best-of-``repeats`` for both layouts, rounds interleaved.
 
     Alternating array/dict within each round means slow drifting load on a
     shared runner (the usual CI noise) hits both layouts alike instead of
-    biasing whichever happened to run second.
+    biasing whichever happened to run second; five rounds give each layout
+    enough samples that one contended round cannot set its best time.
     """
     best = {"array": float("inf"), "dict": float("inf")}
     results = {}
@@ -138,9 +138,11 @@ def test_array_peel_not_slower_on_sparse_workloads(name, builder, h):
     if os.environ.get("PYTEST_XDIST_WORKER"):
         pytest.skip("wall-clock ratios are meaningless under xdist")
     graph = builder()
-    _timed(graph, h, "array", repeats=1)
-    array_seconds, array_result = _timed(graph, h, "array")
-    dict_seconds, dict_result = _timed(graph, h, "dict")
+    _run_once(graph, h, "array")
+    _run_once(graph, h, "dict")
+    best, results = _timed_interleaved(graph, h)
+    array_seconds, array_result = best["array"], results["array"]
+    dict_seconds, dict_result = best["dict"], results["dict"]
     assert array_result.core_index == dict_result.core_index
     ratio = dict_seconds / array_seconds if array_seconds else float("inf")
     print(f"\n{name} h={h}: |V|={graph.num_vertices} "

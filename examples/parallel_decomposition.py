@@ -35,7 +35,7 @@ WORKERS = min(4, os.cpu_count() or 1)
 def timed_bulk_pass(engine, executor, workers):
     """One full bulk deg^h pass; returns (seconds, result)."""
     start = time.perf_counter()
-    result = engine.bulk_h_degrees(H, num_threads=workers, executor=executor)
+    result = engine.bulk_h_degrees(H, num_workers=workers, executor=executor)
     return time.perf_counter() - start, result
 
 
@@ -54,7 +54,7 @@ def main() -> None:
             # Warm-up dispatch: pool spin-up and the shared-memory export
             # should not be billed to the steady-state timing.
             engine.bulk_h_degrees(H, targets=range(16),
-                                  num_threads=WORKERS, executor=executor)
+                                  num_workers=WORKERS, executor=executor)
             seconds, result = timed_bulk_pass(engine, executor, WORKERS)
             print(f"  {executor:<7} x{WORKERS} work.: {seconds * 1000:7.1f} ms "
                   f"(speedup {serial_seconds / seconds:4.2f}x, "

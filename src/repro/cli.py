@@ -71,7 +71,7 @@ from repro.errors import ReproError
 from repro.graph import Graph, read_edge_list
 from repro.graph.generators import relaxed_caveman_graph
 from repro.graph.storage import BLOCK_SUFFIX
-from repro.runtime import ExecutionContext, resolve_worker_count
+from repro.runtime import ExecutionContext
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,11 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: the system temp dir)")
     parser.add_argument("--partition-size", type=int, default=1,
                         help="partition size S for h-LB+UB (default: 1)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="deprecated legacy alias for --workers")
     parser.add_argument("--workers", type=int, default=None,
-                        help="workers for the bulk h-degree passes "
-                             "(default: 1)")
+                        help="workers for the bulk h-degree passes, at "
+                             "least 1 (default: 1)")
     parser.add_argument("--executor", default="thread",
                         choices=("serial", "thread", "process"),
                         help="scheduler for the bulk h-degree passes: "
@@ -341,10 +339,6 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
                              "auto (the fastest installed engine for large "
                              "integer-vertex graphs, csr below the size "
                              "thresholds)")
-    parser.add_argument("--csr-threshold", type=int, default=None,
-                        help="minimum vertex count for backend=auto to pick "
-                             "csr (default: KH_CORE_CSR_THRESHOLD env var, "
-                             "then 0)")
     parser.add_argument("--relabel", default=None,
                         choices=("none", "degree", "bfs"),
                         help="cache-locality vertex relabeling applied at "
@@ -432,16 +426,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         graph = _load_graph(args)
-        backend = resolved_backend_name(graph, args.backend,
-                                        csr_threshold=args.csr_threshold)
-        # One shared shim handles the legacy spelling (--threads) exactly
-        # like the library handles num_threads=.
-        workers = resolve_worker_count(args.workers, args.threads,
-                                       old="--threads", new="--workers")
+        backend = resolved_backend_name(graph, args.backend)
         with ExecutionContext(graph, backend=backend,
                               executor=args.executor,
-                              num_workers=workers,
-                              csr_threshold=args.csr_threshold,
+                              num_workers=args.workers,
                               relabel=args.relabel,
                               storage=args.storage,
                               storage_dir=args.storage_dir) as context:
@@ -450,6 +438,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 dataset_name=args.input or "demo",
                 partition_size=args.partition_size, context=context)
             resilience = context.resilience
+            workers = context.num_workers
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -491,8 +480,7 @@ def stream_main(argv: Sequence[str]) -> int:
         engine_kwargs = {}
         if args.fallback_ratio is not None:
             engine_kwargs["fallback_ratio"] = args.fallback_ratio
-        backend = resolved_backend_name(graph, args.backend,
-                                        csr_threshold=args.csr_threshold)
+        backend = resolved_backend_name(graph, args.backend)
         engine = DynamicKHCore(graph, h=args.h, backend=backend,
                                relabel=args.relabel, storage=args.storage,
                                **engine_kwargs)
@@ -544,8 +532,7 @@ def serve_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(list(argv))
     try:
         graph = _load_graph(args, mutable=True)
-        backend = resolved_backend_name(graph, args.backend,
-                                        csr_threshold=args.csr_threshold)
+        backend = resolved_backend_name(graph, args.backend)
         service_kwargs = {}
         if args.max_batch is not None:
             service_kwargs["max_batch"] = args.max_batch

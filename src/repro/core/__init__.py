@@ -23,7 +23,6 @@ from repro.core.backends import (
     numpy_available,
     resolve_engine,
 )
-from repro.core.buckets import BucketQueue
 from repro.core.result import CoreDecomposition
 from repro.core.classic import classic_core_decomposition, classic_core_indices
 from repro.core.naive import (
@@ -58,7 +57,6 @@ __all__ = [
     "native_available",
     "numpy_available",
     "resolve_engine",
-    "BucketQueue",
     "CoreDecomposition",
     "classic_core_decomposition",
     "classic_core_indices",

@@ -45,6 +45,7 @@ import importlib.util
 import os
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.core.parallel import _validate_executor, map_batches
 from repro.errors import (
     DeadlineExceededError,
     ParameterError,
@@ -60,7 +61,6 @@ from repro.graph.graph import Graph, Vertex
 from repro.graph.views import FrozenGraphView
 from repro.instrumentation import Counters, NULL_COUNTERS
 from repro.resilience.policies import ResilienceReport
-from repro.runtime.workers import resolve_worker_count
 from repro.traversal.array_bfs import AliveMask, ArrayBFS
 from repro.traversal.bfs import h_bounded_neighbors
 from repro.traversal.hneighborhood import h_degree as _dict_h_degree
@@ -203,27 +203,60 @@ class DictEngine:
                                         counters=counters).items())
 
     def bulk_h_degrees(self, h: int, targets=None, alive=None,
-                       num_threads: Optional[int] = None,
                        counters: Counters = NULL_COUNTERS,
                        executor: str = "thread",
-                       num_workers: Optional[int] = None) -> Dict[Vertex, int]:
-        from repro.core.parallel import compute_h_degrees
-        workers = resolve_worker_count(num_workers, num_threads)
-        backend: object = "dict"
-        if executor == "process" and workers > 1:
-            # Process dispatch needs a CSR snapshot; cache one engine (and
-            # its worker pool) across this engine's bulk passes instead of
-            # paying a pool spin-up per pass.  A frozen view already carries
-            # its snapshot — reuse it instead of re-expanding the graph.
-            if self._process_delegate is None:
-                self._process_delegate = CSREngine(
-                    self.graph, csr=getattr(self.graph, "csr", None))
-            elif self._process_delegate.built_version != self.graph.version:
-                self._process_delegate.refresh(None)
-            backend = self._process_delegate
-        return compute_h_degrees(self.graph, h, vertices=targets, alive=alive,
-                                 num_workers=workers, counters=counters,
-                                 backend=backend, executor=executor)
+                       num_workers: int = 1) -> Dict[Vertex, int]:
+        """h-degree of every target vertex, optionally across a worker pool.
+
+        The serial and thread executors run the dict traversal directly
+        (each thread batch records into private counters, merged at the
+        end).  ``executor="process"`` needs a CSR snapshot: one delegate
+        :class:`CSREngine` (and its worker pool) is cached across this
+        engine's bulk passes, and labels are translated to its handles and
+        back here.
+        """
+        _validate_executor(executor)
+        if executor == "process" and num_workers > 1:
+            delegate = self._process_delegate
+            if delegate is None:
+                # A frozen view already carries its snapshot — reuse it
+                # instead of re-expanding the graph.
+                delegate = CSREngine(self.graph,
+                                     csr=getattr(self.graph, "csr", None))
+                self._process_delegate = delegate
+            delegate.refresh(None)  # no-op while the snapshot is current
+            handle_of = delegate.handle_of
+            if targets is not None:
+                targets = [handle_of(v) for v in targets]
+            if alive is not None:
+                alive = delegate.alive_subset(handle_of(v) for v in alive)
+            degrees = delegate.bulk_h_degrees(h, targets=targets, alive=alive,
+                                              counters=counters,
+                                              executor=executor,
+                                              num_workers=num_workers)
+            return delegate.to_labels(degrees)
+
+        graph = self.graph
+        if targets is None:
+            targets = alive if alive is not None else graph.vertices()
+        targets = list(targets)
+        if num_workers <= 1 or len(targets) < 2 or executor == "serial":
+            result: Dict[Vertex, int] = {}
+            for v in targets:
+                result[v] = _dict_h_degree(graph, v, h, alive=alive,
+                                           counters=counters)
+                counters.count_hdegree()
+            return result
+
+        def worker(batch, local: Counters) -> Dict[Vertex, int]:
+            out: Dict[Vertex, int] = {}
+            for v in batch:
+                out[v] = _dict_h_degree(graph, v, h, alive=alive,
+                                        counters=local)
+                local.count_hdegree()
+            return out
+
+        return map_batches(targets, num_workers, worker, counters)
 
 
 class CSREngine:
@@ -437,15 +470,14 @@ class CSREngine:
 
     def bulk_h_degrees(self, h: int, targets=None,
                        alive: Optional[AliveMask] = None,
-                       num_threads: Optional[int] = None,
                        counters: Counters = NULL_COUNTERS,
                        executor: str = "thread",
-                       num_workers: Optional[int] = None) -> Dict[int, int]:
+                       num_workers: int = 1) -> Dict[int, int]:
         """h-degree of every target index, optionally across a worker pool.
 
         ``executor`` selects the scheduler (see
         :data:`repro.core.parallel.EXECUTORS`).  The thread path mirrors
-        :func:`repro.core.parallel.compute_h_degrees`: each worker owns a
+        :meth:`DictEngine.bulk_h_degrees`: each worker owns a
         private :class:`ArrayBFS` scratch (the shared one is not
         thread-safe) and a private :class:`Counters`, merged at the end.
         The process path exports the CSR arrays into shared memory once per
@@ -453,27 +485,24 @@ class CSREngine:
         persistent worker pool (:mod:`repro.parallel`) — the only executor
         that scales on CPython.
 
-        The dispatch (executor validation, worker resolution, target
-        defaulting, degree-weighted process fan-out) lives here exactly
-        once; the serial and per-thread *kernels* are the
-        :meth:`_bulk_serial` / :meth:`_bulk_worker_batch` hooks the
-        vectorized subclass overrides, and ``engine_kind=self.name`` rides
-        the shared-memory task descriptors so workers run the matching
-        kernel.
+        The dispatch (executor validation, target defaulting,
+        degree-weighted process fan-out) lives here exactly once; the
+        serial and per-thread *kernels* are the :meth:`_bulk_serial` /
+        :meth:`_bulk_worker_batch` hooks the vectorized subclasses
+        override, and ``engine_kind=self.name`` rides the shared-memory task
+        descriptors so workers run the matching kernel.
         """
-        from repro.core.parallel import _validate_executor
         _validate_executor(executor)
-        workers = resolve_worker_count(num_workers, num_threads)
         if targets is None:
             targets = alive if alive is not None else range(self.csr.num_vertices)
         indices = list(targets)
 
         if executor == "process" and self._process_downgraded:
             executor = "thread"
-        if executor == "process" and workers > 1 and len(indices) >= 2:
+        if executor == "process" and num_workers > 1 and len(indices) >= 2:
             indptr = self.csr.indptr
             weights = [indptr[i + 1] - indptr[i] for i in indices]
-            pool = self._process_pool(workers)
+            pool = self._process_pool(num_workers)
             try:
                 return pool.bulk_h_degrees(self.csr, h, indices, alive=alive,
                                            counters=counters, weights=weights,
@@ -489,16 +518,14 @@ class CSREngine:
                     counters.bump("resilience.downgrades")
                 executor = "thread"
 
-        if workers <= 1 or len(indices) < 2 or executor == "serial":
+        if num_workers <= 1 or len(indices) < 2 or executor == "serial":
             return self._bulk_serial(indices, h, alive, counters)
-
-        from repro.core.parallel import map_batches
 
         def worker(batch, local: Counters) -> Dict[int, int]:
             return self._bulk_worker_batch(batch, h, alive, local)
 
         try:
-            return map_batches(indices, workers, worker, counters)
+            return map_batches(indices, num_workers, worker, counters)
         except RuntimeError:
             # Last rung: thread creation failed (resource exhaustion).  The
             # serial kernel needs no scheduler at all, so the pass still
@@ -566,10 +593,12 @@ class NumpyEngine(CSREngine):
     def _bulk_serial(self, indices: List[int], h: int,
                      alive: Optional[AliveMask],
                      counters: Counters) -> Dict[int, int]:
-        """Serial bulk kernel: whole blocks of sources per NumPy dispatch.
+        """Serial bulk kernel: the scratch's many-sources ``bulk`` call.
 
-        Result dicts preserve target order, so downstream bucket fills see
-        the exact sequence the CSR engine produces.
+        Whole blocks of sources per NumPy dispatch here, all sources in one
+        compiled, GIL-free call on :class:`NativeEngine`.  Result dicts
+        preserve target order, so downstream bucket fills see the exact
+        sequence the CSR engine produces.
         """
         degrees = self._scratch.bulk(indices, h, alive, counters)
         counters.count_hdegrees(len(indices))
@@ -580,8 +609,10 @@ class NumpyEngine(CSREngine):
                            local: Counters) -> Dict[int, int]:
         """Thread-pool bulk kernel: a private cloned scratch per batch.
 
-        The block stamp array is not thread-safe; the CSR ndarrays
-        themselves are shared read-only.
+        The scratch's stamp/queue buffers are not thread-safe; the CSR
+        ndarrays themselves are shared read-only.  The native kernel drops
+        the GIL for the whole batch, which is what makes this executor
+        scale on :class:`NativeEngine`.
         """
         scratch = self._scratch.clone()
         degrees = scratch.bulk(batch, h, alive, local)
@@ -589,12 +620,12 @@ class NumpyEngine(CSREngine):
         return dict(zip(batch, degrees.tolist()))
 
 
-class NativeEngine(CSREngine):
+class NativeEngine(NumpyEngine):
     """Compiled engine: the CSR snapshot traversed by Numba-JIT kernels.
 
     Same handle space, alive masks, snapshot/refresh lifecycle,
-    bulk-dispatch logic and shared-memory process path as
-    :class:`CSREngine`; the kernel hooks swap in
+    bulk-dispatch logic, shared-memory process path and many-sources bulk
+    hooks as :class:`NumpyEngine`; only the scratch differs:
     :class:`~repro.traversal.native_bfs.NativeBFS`, whose h-bounded level
     loop runs as a single ``@njit(nogil=True, cache=True)`` call.  Results
     (traversal orders, removal orders, counter totals) are bit-identical to
@@ -629,28 +660,6 @@ class NativeEngine(CSREngine):
 
         return NativeBFS(self.csr)
 
-    def _bulk_serial(self, indices: List[int], h: int,
-                     alive: Optional[AliveMask],
-                     counters: Counters) -> Dict[int, int]:
-        """Serial bulk kernel: all sources in one compiled, GIL-free call."""
-        degrees = self._scratch.bulk(indices, h, alive, counters)
-        counters.count_hdegrees(len(indices))
-        return dict(zip(indices, degrees.tolist()))
-
-    def _bulk_worker_batch(self, batch: List[int], h: int,
-                           alive: Optional[AliveMask],
-                           local: Counters) -> Dict[int, int]:
-        """Thread-pool bulk kernel: a private cloned scratch per batch.
-
-        The scratch's stamp/queue buffers are per-thread; the CSR ndarrays
-        are shared read-only — and the kernel drops the GIL for the whole
-        batch, which is what makes this executor finally scale.
-        """
-        scratch = self._scratch.clone()
-        degrees = scratch.bulk(batch, h, alive, local)
-        local.count_hdegrees(len(batch))
-        return dict(zip(batch, degrees.tolist()))
-
 
 Engine = Union[DictEngine, CSREngine]
 
@@ -660,7 +669,6 @@ GraphLike = Union[Graph, FrozenGraphView]
 
 
 def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
-                   csr_threshold: Optional[int] = None,
                    relabel: Optional[str] = None,
                    storage: str = "auto",
                    storage_dir: Optional[str] = None) -> Engine:
@@ -674,10 +682,8 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
     size threshold (when Numba is importable), the vectorized NumPy engine
     above the NumPy threshold (when NumPy is importable), the interpreted
     CSR engine for smaller integer-friendly graphs, and the dict reference
-    engine otherwise; ``csr_threshold`` overrides the minimum vertex count
-    for the CSR choice (default: the ``KH_CORE_CSR_THRESHOLD`` environment
-    variable, with ``KH_CORE_NUMPY_THRESHOLD`` / ``KH_CORE_NATIVE_THRESHOLD``
-    gating the step-ups).
+    engine otherwise (``KH_CORE_NUMPY_THRESHOLD`` /
+    ``KH_CORE_NATIVE_THRESHOLD`` gate the step-ups).
 
     ``relabel`` applies a cache-locality vertex permutation at CSR build
     time (``"degree"`` / ``"bfs"`` — see
@@ -721,7 +727,7 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
             )
         return backend
     # Single source of truth for name validation and the "auto" policy.
-    name = resolved_backend_name(graph, backend, csr_threshold)
+    name = resolved_backend_name(graph, backend)
     # A frozen view carries its snapshot: hand it straight to the engine
     # (its version property matches the snapshot's stamp, so the supplied-
     # snapshot validation passes) instead of rebuilding the arrays.
@@ -767,13 +773,12 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
                      storage=storage, storage_dir=storage_dir)
 
 
-def resolved_backend_name(graph: GraphLike, backend: Union[str, Engine],
-                          csr_threshold: Optional[int] = None) -> str:
+def resolved_backend_name(graph: GraphLike, backend: Union[str, Engine]) -> str:
     """Return the concrete backend name ``backend`` resolves to for ``graph``.
 
     Cheap (no engine is built): used by the CLI to surface which backend an
     ``"auto"`` request actually selected.  The ``"auto"`` ladder: dict for
-    graphs that are not integer-friendly or below the CSR threshold, then
+    graphs that are not integer-friendly, then
     native when Numba is importable and the graph clears the native size
     threshold, then numpy when NumPy is importable and the graph clears
     the NumPy size threshold, csr otherwise.  A frozen CSR view skips the
@@ -791,7 +796,7 @@ def resolved_backend_name(graph: GraphLike, backend: Union[str, Engine],
                     and graph.num_vertices >= resolve_numpy_threshold()):
                 return "numpy"
             return "csr"
-        if not csr_suitable(graph, csr_threshold):
+        if not csr_suitable(graph):
             return "dict"
         if (native_available()
                 and graph.num_vertices >= resolve_native_threshold()):

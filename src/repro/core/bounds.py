@@ -32,7 +32,6 @@ from repro.graph.graph import Graph, Vertex
 from repro.core.backends import CSREngine, DictEngine, Engine
 from repro.instrumentation import Counters, NULL_COUNTERS
 from repro.runtime.peel import ArrayPeelState, make_peel_state
-from repro.runtime.workers import resolve_worker_count
 
 Handle = Hashable
 
@@ -112,22 +111,19 @@ def lower_bound_lb2(graph: Graph, h: int,
 def engine_upper_bound(engine: Engine, h: int,
                        initial_h_degrees: Optional[Dict[Handle, int]] = None,
                        counters: Counters = NULL_COUNTERS,
-                       num_workers: Optional[int] = None,
-                       executor: str = "thread",
-                       num_threads: Optional[int] = None,
-                       peel: str = "auto") -> Dict[Handle, int]:
+                       num_workers: int = 1,
+                       executor: str = "thread") -> Dict[Handle, int]:
     """``UB(v)`` per handle: classic core index in the implicit h-power graph."""
     _validate_h(h)
-    workers = resolve_worker_count(num_workers, num_threads)
     handles = list(engine.nodes())
     if not handles:
         return {}
     if initial_h_degrees is None:
         initial_h_degrees = engine.bulk_h_degrees(h, targets=handles,
-                                                  num_workers=workers,
+                                                  num_workers=num_workers,
                                                   counters=counters,
                                                   executor=executor)
-    state = make_peel_state(engine, counters, peel=peel)
+    state = make_peel_state(engine, counters)
     state.fill_exact((v, initial_h_degrees[v]) for v in handles)
 
     ub: Dict[Handle, int] = {}
@@ -215,9 +211,8 @@ def engine_upper_bound(engine: Engine, h: int,
 def upper_bound(graph: Graph, h: int,
                 initial_h_degrees: Optional[Dict[Vertex, int]] = None,
                 counters: Counters = NULL_COUNTERS,
-                num_workers: Optional[int] = None,
-                executor: str = "thread",
-                num_threads: Optional[int] = None) -> Dict[Vertex, int]:
+                num_workers: int = 1,
+                executor: str = "thread") -> Dict[Vertex, int]:
     """Return ``UB(v)``: the classic core index of ``v`` in the h-power graph.
 
     Implements Algorithm 5.  The power graph is kept implicit: when a vertex
@@ -236,7 +231,7 @@ def upper_bound(graph: Graph, h: int,
     return engine_upper_bound(DictEngine(graph), h,
                               initial_h_degrees=initial_h_degrees,
                               counters=counters, num_workers=num_workers,
-                              executor=executor, num_threads=num_threads)
+                              executor=executor)
 
 
 # --------------------------------------------------------------------- #
@@ -245,9 +240,8 @@ def upper_bound(graph: Graph, h: int,
 def engine_improve_lb(engine: Engine, h: int, candidate: Iterable[Handle],
                       k: int,
                       counters: Counters = NULL_COUNTERS,
-                      num_workers: Optional[int] = None,
-                      executor: str = "thread",
-                      num_threads: Optional[int] = None):
+                      num_workers: int = 1,
+                      executor: str = "thread"):
     """Clean ``candidate`` = V[k]; return ``(alive set, min h-degree)``.
 
     The returned alive set uses the engine's native alive type (a Python
@@ -255,13 +249,12 @@ def engine_improve_lb(engine: Engine, h: int, candidate: Iterable[Handle],
     for CSR) so the caller can hand it straight to :func:`core_decomp`.
     """
     _validate_h(h)
-    workers = resolve_worker_count(num_workers, num_threads)
     alive = engine.alive_subset(candidate)
     if not alive:
         return alive, 0
     degrees = engine.bulk_h_degrees(h, targets=alive, alive=alive,
-                                    num_workers=workers, counters=counters,
-                                    executor=executor)
+                                    num_workers=num_workers,
+                                    counters=counters, executor=executor)
     min_degree = min(degrees.values())
     pending = {v for v, d in degrees.items() if d < k}
     while pending:
@@ -281,9 +274,8 @@ def engine_improve_lb(engine: Engine, h: int, candidate: Iterable[Handle],
 
 def improve_lb(graph: Graph, h: int, candidate: Set[Vertex], k: int,
                counters: Counters = NULL_COUNTERS,
-               num_workers: Optional[int] = None,
-               executor: str = "thread",
-               num_threads: Optional[int] = None) -> Tuple[Set[Vertex], int]:
+               num_workers: int = 1,
+               executor: str = "thread") -> Tuple[Set[Vertex], int]:
     """Clean ``candidate`` = V[k] and return ``(surviving vertices, min h-degree)``.
 
     Implements Algorithm 6.  The minimum h-degree over the candidate set is a
@@ -295,4 +287,4 @@ def improve_lb(graph: Graph, h: int, candidate: Set[Vertex], k: int,
     """
     return engine_improve_lb(DictEngine(graph), h, candidate, k,
                              counters=counters, num_workers=num_workers,
-                             executor=executor, num_threads=num_threads)
+                             executor=executor)

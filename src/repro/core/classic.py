@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Set
 
 from repro.graph.graph import Graph, Vertex
-from repro.core.buckets import BucketQueue
 from repro.core.result import CoreDecomposition
 from repro.instrumentation import Counters, NULL_COUNTERS
+from repro.runtime.peel import DictPeelState
 
 
 def classic_core_decomposition(graph: Graph,
@@ -26,34 +26,31 @@ def classic_core_decomposition(graph: Graph,
     Runs in O(|V| + |E|) time.  If ``alive`` is given the decomposition is of
     the induced subgraph (but the result still reports a core index for every
     graph vertex only if ``alive`` covers them; normally leave it None).
+    The peel pops the most recently bucketed vertex first (the
+    :class:`~repro.runtime.peel.DictPeelState` discipline); any pop order
+    yields the same core indices and a smallest-last removal order.
     """
     universe: Set[Vertex] = set(alive) if alive is not None else set(graph.vertices())
-    degrees: Dict[Vertex, int] = {
-        v: len(graph.neighbors(v) & universe) if alive is not None else graph.degree(v)
+    state = DictPeelState(counters)
+    state.fill_exact(
+        (v, len(graph.neighbors(v) & universe) if alive is not None
+         else graph.degree(v))
         for v in universe
-    }
-    buckets = BucketQueue(counters)
-    for v, d in degrees.items():
-        buckets.insert(v, d)
+    )
 
     core_index: Dict[Vertex, int] = {}
     removal_order: list = []
-    remaining = set(universe)
     k = 0
-    max_degree = max(degrees.values(), default=0)
-    while len(core_index) < len(universe):
-        while buckets.is_empty(k) and k <= max_degree:
-            k += 1
-        vertex = buckets.pop_from(k)
+    while state:
+        vertex = state.pop(k)
         if vertex is None:
-            break
+            k += 1
+            continue
         core_index[vertex] = k
         removal_order.append(vertex)
-        remaining.discard(vertex)
         for u in graph.neighbors(vertex):
-            if u in remaining:
-                degrees[u] -= 1
-                buckets.move(u, max(degrees[u], k))
+            if u in state:
+                state.move_to(u, max(state.decrement(u), k))
 
     result_graph = graph if alive is None else graph.subgraph(universe)
     return CoreDecomposition(result_graph, 1, core_index, algorithm="classic-BZ",

@@ -33,8 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.errors import ParameterError
 from repro.graph.graph import Graph, Vertex
 from repro.instrumentation import Counters, NULL_COUNTERS
-from repro.runtime.workers import resolve_worker_count
-from repro.traversal.hneighborhood import h_degree
+from repro.runtime.context import ExecutionContext
 
 #: Executor names accepted by the decomposition entry points.
 EXECUTORS = ("serial", "thread", "process")
@@ -141,81 +140,36 @@ def map_batches(targets: Sequence, num_workers: int, worker,
 def compute_h_degrees(graph: Graph, h: int,
                       vertices: Optional[Iterable[Vertex]] = None,
                       alive: Optional[Set[Vertex]] = None,
-                      num_threads: Optional[int] = None,
                       counters: Counters = NULL_COUNTERS,
                       backend: object = "dict",
                       executor: str = "thread",
                       num_workers: Optional[int] = None) -> Dict[Vertex, int]:
     """Compute the h-degree of every vertex in ``vertices`` (default: all alive).
 
-    With ``num_workers > 1`` (``num_threads`` is the deprecated legacy
-    spelling) the per-vertex h-bounded BFS traversals are distributed over
-    the selected ``executor`` (see :data:`EXECUTORS`); each worker
-    accumulates into a private counter object that is merged into
-    ``counters`` once all workers finish, so the reported totals are
-    identical to the sequential run.
+    A label-space wrapper over the engine's bulk pass: ``vertices`` /
+    ``alive`` and the result are keyed by the original vertices whatever
+    ``backend`` resolves to.  With ``num_workers > 1`` the per-vertex
+    h-bounded BFS traversals are distributed over the selected ``executor``
+    (see :data:`EXECUTORS`); each worker accumulates into a private counter
+    object that is merged into ``counters`` once all workers finish, so the
+    reported totals are identical to the sequential run.
 
-    With ``backend="csr"`` (or ``"auto"`` on an integer-friendly graph) the
-    BFS traversals run on a one-shot CSR snapshot through the array backend;
-    ``vertices``/``alive`` stay in label space and the result is keyed by the
-    original vertices either way.  ``executor="process"`` always runs on a
-    CSR snapshot (any hashable vertex type works — only the shared flat
-    arrays can cross the process boundary without pickling the graph), and
-    the snapshot plus its worker pool are torn down before returning unless
-    the caller supplied a pre-built engine as ``backend``.  Consequence:
-    each ``backend="dict"`` process call pays a full pool spin-up — callers
-    with repeated bulk passes (the decomposition algorithms do this through
-    their resolved engine) should pass a :class:`CSREngine
-    <repro.core.backends.CSREngine>` to amortize it.
+    ``executor="process"`` always runs on a CSR snapshot (any hashable
+    vertex type works — only the shared flat arrays can cross the process
+    boundary without pickling the graph).  An engine resolved here from a
+    name, with its snapshot and worker pool, is torn down before returning;
+    a pre-built engine passed as ``backend`` is left open.  Consequence:
+    each name-resolved process call pays a full pool spin-up — callers with
+    repeated bulk passes should pass an engine (or use an
+    :class:`~repro.runtime.ExecutionContext`) to amortize it.
     """
-    _validate_executor(executor)
-    workers = resolve_worker_count(num_workers, num_threads)
-    want_process = executor == "process" and workers > 1
-    if backend not in ("dict",) or want_process:
-        # Imported lazily: backends.DictEngine delegates back to this module.
-        from repro.core.backends import CSREngine, resolve_engine
-        owned = isinstance(backend, str)
-        if want_process and backend in ("dict",):
-            # Straight to the CSR snapshot — building the DictEngine only
-            # to discard it would be wasted work.
-            engine = CSREngine(graph)
-        else:
-            engine = resolve_engine(graph, backend)
-            if want_process and not isinstance(engine, CSREngine):
-                engine = CSREngine(graph)
-                owned = True
-        if isinstance(engine, CSREngine):
-            try:
-                targets = None if vertices is None else \
-                    [engine.handle_of(v) for v in vertices]
-                alive_mask = None if alive is None else \
-                    engine.alive_subset(engine.handle_of(v) for v in alive)
-                degrees = engine.bulk_h_degrees(h, targets=targets,
-                                                alive=alive_mask,
-                                                num_workers=workers,
-                                                counters=counters,
-                                                executor=executor)
-                return engine.to_labels(degrees)
-            finally:
-                if owned:
-                    engine.close()
-
-    if vertices is None:
-        vertices = alive if alive is not None else graph.vertices()
-    targets = list(vertices)
-
-    if workers <= 1 or len(targets) < 2 or executor == "serial":
-        result: Dict[Vertex, int] = {}
-        for v in targets:
-            result[v] = h_degree(graph, v, h, alive=alive, counters=counters)
-            counters.count_hdegree()
-        return result
-
-    def worker(batch: Sequence[Vertex], local: Counters) -> Dict[Vertex, int]:
-        out: Dict[Vertex, int] = {}
-        for v in batch:
-            out[v] = h_degree(graph, v, h, alive=alive, counters=local)
-            local.count_hdegree()
-        return out
-
-    return map_batches(targets, workers, worker, counters)
+    with ExecutionContext(graph, backend=backend, executor=executor,
+                          num_workers=num_workers) as ctx:
+        engine = ctx.engine
+        targets = None if vertices is None else \
+            [engine.handle_of(v) for v in vertices]
+        alive_set = None if alive is None else \
+            engine.alive_subset(engine.handle_of(v) for v in alive)
+        degrees = ctx.bulk_h_degrees(h, targets=targets, alive=alive_set,
+                                     counters=counters)
+        return engine.to_labels(degrees)

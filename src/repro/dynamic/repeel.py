@@ -17,7 +17,8 @@ indices are assumed unchanged, :func:`repeel_region` re-runs the peeling on
 
 The per-vertex bookkeeping (buckets + stored degrees) drives the shared
 :class:`~repro.runtime.peel.PeelState` protocol — the same kernel state the
-batch algorithms peel through, flat arrays on the CSR engine.
+batch algorithms peel through: flat arrays on the CSR engine, except for
+dirty universes under a quarter of the graph, which take the dict state.
 
 Why the restricted universe is sufficient: every path of length ``<= h``
 from a region vertex ``w`` only traverses vertices at distance ``<= h - 1``
@@ -38,7 +39,7 @@ from typing import Dict, Iterable, List
 
 from repro.core.backends import Engine
 from repro.instrumentation import Counters, NULL_COUNTERS
-from repro.runtime.peel import make_peel_state
+from repro.runtime.peel import DictPeelState, make_peel_state
 
 Handle = object
 
@@ -46,8 +47,7 @@ Handle = object
 def repeel_region(engine: Engine, h: int,
                   region: Iterable[Handle],
                   shell_levels: Dict[Handle, int],
-                  counters: Counters = NULL_COUNTERS,
-                  peel: str = "auto") -> Dict[Handle, int]:
+                  counters: Counters = NULL_COUNTERS) -> Dict[Handle, int]:
     """Re-peel ``region`` against a frozen ``shell`` and return its new cores.
 
     Parameters
@@ -66,12 +66,6 @@ def repeel_region(engine: Engine, h: int,
         peeling index reaches its level.  Must be disjoint from ``region``.
     counters:
         Instrumentation sink.
-    peel:
-        Peel-state layout (:data:`repro.runtime.peel.PEEL_STATES`);
-        ``"auto"`` selects the flat-array state on the CSR engine when the
-        dirty universe is a sizable fraction of the graph, and the
-        O(|region|)-footprint dict state for small regions (the common
-        incremental case), where an O(n) array allocation would dominate.
 
     Returns
     -------
@@ -85,15 +79,16 @@ def repeel_region(engine: Engine, h: int,
 
     degrees = engine.bulk_h_degrees(h, targets=remaining, alive=alive,
                                     counters=counters)
-    if peel == "auto" and len(alive) * 4 < engine.num_nodes:
+    if len(alive) * 4 < engine.num_nodes:
         # The array layout allocates O(n) buckets/degree buffers; a typical
         # dirty region is a few dozen vertices of a large graph, where that
         # allocation would dominate the re-peel (the exact cost the dynamic
         # engine exists to avoid).  Both layouts are observationally
         # identical, so below a quarter of the graph the hash-based state
         # with its O(|region|) footprint is the cheaper choice.
-        peel = "dict"
-    state = make_peel_state(engine, counters, peel=peel)
+        state = DictPeelState(counters)
+    else:
+        state = make_peel_state(engine, counters)
     state.fill_exact(degrees.items())
 
     shell_by_level: Dict[int, List[Handle]] = {}

@@ -1,4 +1,4 @@
-"""Execution runtime: context, worker shims, and peel-state layouts.
+"""Execution runtime: context and peel-state layouts.
 
 One layer that owns *how* a decomposition runs — engine resolution, executor
 selection, worker-pool lifecycle, counters, close/ownership semantics, and
@@ -9,28 +9,21 @@ See :class:`repro.runtime.ExecutionContext` for the entry point and
 
 from repro.runtime.context import ExecutionContext, scoped_context
 from repro.runtime.peel import (
-    PEEL_STATES,
     ArrayCoreMap,
     ArrayPeelState,
     DictPeelState,
     PeelState,
     make_core_map,
     make_peel_state,
-    resolve_peel_kind,
 )
-from repro.runtime.workers import resolve_worker_count, warn_legacy_workers
 
 __all__ = [
     "ExecutionContext",
     "scoped_context",
-    "PEEL_STATES",
     "ArrayCoreMap",
     "ArrayPeelState",
     "DictPeelState",
     "PeelState",
     "make_core_map",
     "make_peel_state",
-    "resolve_peel_kind",
-    "resolve_worker_count",
-    "warn_legacy_workers",
 ]

@@ -11,14 +11,12 @@ place:
   / ``"auto"``) or a pre-built engine; the context resolves it exactly once
   and remembers whether it owns the result.
 * **Executor + workers** — the scheduler name and worker count for the bulk
-  h-degree passes, validated once, with the legacy ``num_threads`` spelling
-  funneled through the single deprecation shim
-  (:mod:`repro.runtime.workers`).
+  h-degree passes, validated once: this is the one place a worker count is
+  resolved (``None`` means 1; anything below 1 is rejected).
 * **Counters** — the instrumentation sink every phase records into.
-* **Peel-state layout** — ``peel="auto"`` selects the flat-array peel state
-  on the CSR engine and the dict state otherwise; benchmarks force
-  ``peel="dict"`` on CSR to measure the array kernel against its hash-based
-  twin.
+* **Peel-state layout** — fixed by the engine: the flat-array peel state on
+  CSR-family engines, the dict state otherwise
+  (:func:`repro.runtime.peel.make_peel_state`).
 * **Close/ownership semantics** — :meth:`close` tears down engines the
   context resolved itself (process pools, shared-memory exports) and *never*
   touches a caller-supplied engine; the context is a context manager, so
@@ -41,12 +39,7 @@ from typing import Iterator, Optional
 
 from repro.errors import ParameterError
 from repro.instrumentation import Counters, NULL_COUNTERS
-from repro.runtime.peel import (
-    PEEL_STATES,
-    make_core_map,
-    make_peel_state,
-)
-from repro.runtime.workers import resolve_worker_count
+from repro.runtime.peel import make_core_map, make_peel_state
 
 
 class ExecutionContext:
@@ -70,17 +63,10 @@ class ExecutionContext:
         Scheduler for the bulk h-degree passes (``"serial"`` / ``"thread"``
         / ``"process"``).
     num_workers:
-        Worker count for the selected executor.  The legacy ``num_threads``
-        keyword is still accepted (with a :class:`DeprecationWarning`);
-        ``num_workers`` wins when both are given.
+        Worker count for the selected executor (default 1); values below 1
+        raise :class:`~repro.errors.ParameterError`.
     counters:
         Instrumentation sink shared by every phase run under this context.
-    peel:
-        Peel-state layout: ``"auto"`` (array on CSR, dict otherwise),
-        ``"dict"``, or ``"array"`` (CSR only).
-    csr_threshold:
-        Minimum vertex count for ``backend="auto"`` to pick CSR (defaults to
-        the ``KH_CORE_CSR_THRESHOLD`` environment variable).
     relabel:
         Optional cache-locality vertex permutation applied when the context
         builds a CSR-family engine from a name: ``"degree"`` (hubs first)
@@ -108,33 +94,29 @@ class ExecutionContext:
     """
 
     __slots__ = ("graph", "engine", "executor", "num_workers", "counters",
-                 "peel", "owns_engine", "closed")
+                 "owns_engine", "closed")
 
     def __init__(self, graph, backend="auto", executor: str = "thread",
                  num_workers: Optional[int] = None,
                  counters: Counters = NULL_COUNTERS,
-                 peel: str = "auto",
-                 csr_threshold: Optional[int] = None,
                  relabel: Optional[str] = None,
                  storage: str = "auto",
-                 storage_dir: Optional[str] = None,
-                 num_threads: Optional[int] = None) -> None:
+                 storage_dir: Optional[str] = None) -> None:
         from repro.core.backends import resolve_engine
         from repro.core.parallel import _validate_executor
 
         _validate_executor(executor)
-        if peel not in PEEL_STATES:
+        if num_workers is None:
+            num_workers = 1
+        elif num_workers < 1:
             raise ParameterError(
-                f"unknown peel state {peel!r}; expected one of {PEEL_STATES}"
-            )
+                f"num_workers must be >= 1 (got {num_workers})")
         self.graph = graph
         self.executor = executor
-        self.num_workers = resolve_worker_count(num_workers, num_threads)
+        self.num_workers = num_workers
         self.counters = counters
-        self.peel = peel
-        self.engine = resolve_engine(graph, backend, csr_threshold,
-                                     relabel=relabel, storage=storage,
-                                     storage_dir=storage_dir)
+        self.engine = resolve_engine(graph, backend, relabel=relabel,
+                                     storage=storage, storage_dir=storage_dir)
         #: True when the context resolved the engine from a name and is
         #: therefore responsible for tearing it down; False for
         #: caller-supplied engines, which :meth:`close` never touches.
@@ -190,15 +172,13 @@ class ExecutionContext:
             executor=self.executor)
 
     def make_peel_state(self, counters: Optional[Counters] = None):
-        """Fresh peel state in the context's configured layout."""
+        """Fresh peel state in the engine's layout."""
         return make_peel_state(
-            self.engine,
-            self.counters if counters is None else counters,
-            peel=self.peel)
+            self.engine, self.counters if counters is None else counters)
 
     def make_core_map(self):
-        """Fresh core-index map matching the configured peel layout."""
-        return make_core_map(self.engine, peel=self.peel)
+        """Fresh core-index map matching the engine's peel layout."""
+        return make_core_map(self.engine)
 
     def sink(self, counters: Counters = NULL_COUNTERS) -> Counters:
         """The counters an algorithm should record into.
@@ -212,7 +192,7 @@ class ExecutionContext:
         state = "closed" if self.closed else "open"
         return (f"ExecutionContext(backend={self.engine.name!r}, "
                 f"executor={self.executor!r}, "
-                f"num_workers={self.num_workers}, peel={self.peel!r}, "
+                f"num_workers={self.num_workers}, "
                 f"owns_engine={self.owns_engine}, {state})")
 
 
@@ -220,17 +200,15 @@ class ExecutionContext:
 def scoped_context(graph, context: Optional[ExecutionContext] = None,
                    backend="auto", executor: str = "thread",
                    num_workers: Optional[int] = None,
-                   num_threads: Optional[int] = None,
                    counters: Counters = NULL_COUNTERS,
-                   peel: str = "auto",
                    storage: str = "auto",
                    storage_dir: Optional[str] = None
                    ) -> Iterator[ExecutionContext]:
     """Yield ``context`` if supplied, else a fresh context closed on exit.
 
     This is the shim every legacy entry point runs on: the historical
-    ``backend=`` / ``executor=`` / ``num_workers=`` (and deprecated
-    ``num_threads=``) keywords construct a context scoped to the call, while
+    ``backend=`` / ``executor=`` / ``num_workers=`` keywords construct a
+    context scoped to the call, while
     a caller-supplied ``context`` is passed through **without** being closed
     — its owner decides when the pools die.
     """
@@ -245,9 +223,7 @@ def scoped_context(graph, context: Optional[ExecutionContext] = None,
         yield context
         return
     fresh = ExecutionContext(graph, backend=backend, executor=executor,
-                             num_workers=num_workers,
-                             num_threads=num_threads,
-                             counters=counters, peel=peel,
+                             num_workers=num_workers, counters=counters,
                              storage=storage, storage_dir=storage_dir)
     try:
         yield fresh

@@ -12,8 +12,6 @@ queued vertex:
   the true h-degree has not been computed yet), and
 * membership in the queue at all (peeled vertices leave it).
 
-Before this module existed each loop re-implemented that bookkeeping with a
-:class:`~repro.core.buckets.BucketQueue` plus two or three per-vertex dicts.
 :class:`DictPeelState` and :class:`ArrayPeelState` package the whole bundle
 behind one small protocol (:class:`PeelState`) with two interchangeable
 layouts:
@@ -34,11 +32,11 @@ orders — which in turn makes h-degree recomputation counts identical.  The
 test suite relies on this to assert that the two layouts are observationally
 equivalent, not merely "both correct".
 
-Selection is automatic: :func:`make_peel_state` picks the array layout on a
-CSR engine and the dict layout otherwise.  The execution context
-(:class:`repro.runtime.context.ExecutionContext`) exposes the same choice as
-its ``peel=`` knob so benchmarks can force the dict layout onto the CSR
-engine and measure exactly what the flat-array state buys.
+The engine decides the layout: :func:`make_peel_state` picks the array
+layout on CSR-family engines and the dict layout otherwise.  The one other
+caller that chooses is the dynamic engine's region re-peel
+(:func:`repro.dynamic.repeel.repeel_region`), which takes the dict layout
+for regions too small to amortize an O(n) array allocation.
 """
 
 from __future__ import annotations
@@ -55,14 +53,9 @@ from typing import (
     Union,
 )
 
-from repro.errors import ParameterError
 from repro.instrumentation import Counters, NULL_COUNTERS
 
 Handle = Union[int, Hashable]
-
-#: Peel-state layouts accepted by :func:`make_peel_state` (and the execution
-#: context's ``peel=`` parameter).
-PEEL_STATES = ("auto", "dict", "array")
 
 #: ``key_of`` / linked-list sentinel in :class:`ArrayPeelState`.
 _ABSENT = -1
@@ -401,34 +394,19 @@ class ArrayCoreMap:
         return dict(self.items())
 
 
-def resolve_peel_kind(engine, peel: str = "auto") -> str:
-    """Return the concrete layout (``"dict"`` / ``"array"``) for ``engine``."""
+def make_peel_state(engine, counters: Counters = NULL_COUNTERS) -> PeelState:
+    """Build the peel state for ``engine``: flat arrays on CSR, dicts otherwise."""
     from repro.core.backends import CSREngine
 
-    if peel not in PEEL_STATES:
-        raise ParameterError(
-            f"unknown peel state {peel!r}; expected one of {PEEL_STATES}"
-        )
-    if peel == "auto":
-        return "array" if isinstance(engine, CSREngine) else "dict"
-    if peel == "array" and not isinstance(engine, CSREngine):
-        raise ParameterError(
-            "peel='array' requires the CSR engine (its handles index the "
-            "flat arrays); the dict engine peels through peel='dict'"
-        )
-    return peel
-
-
-def make_peel_state(engine, counters: Counters = NULL_COUNTERS,
-                    peel: str = "auto") -> PeelState:
-    """Build the peel state matching ``engine`` (or the forced ``peel`` kind)."""
-    if resolve_peel_kind(engine, peel) == "array":
+    if isinstance(engine, CSREngine):
         return ArrayPeelState(engine.num_nodes, counters)
     return DictPeelState(counters)
 
 
-def make_core_map(engine, peel: str = "auto"):
-    """Build the core-index map matching the peel layout for ``engine``."""
-    if resolve_peel_kind(engine, peel) == "array":
+def make_core_map(engine):
+    """Build the core-index map matching :func:`make_peel_state` for ``engine``."""
+    from repro.core.backends import CSREngine
+
+    if isinstance(engine, CSREngine):
         return ArrayCoreMap(engine.num_nodes)
     return {}

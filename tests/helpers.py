@@ -18,6 +18,7 @@ import networkx as nx
 
 from repro.graph import Graph
 from repro.graph.generators import erdos_renyi_graph
+from repro.instrumentation import NULL_COUNTERS
 
 
 def to_networkx(graph: Graph) -> "nx.Graph":
@@ -46,3 +47,21 @@ def random_vertex(graph: Graph, seed: int = 0):
     """Pick a deterministic 'random' vertex from a graph."""
     vertices = sorted(graph.vertices(), key=repr)
     return random.Random(seed).choice(vertices)
+
+
+def force_dict_peel(monkeypatch) -> None:
+    """Peel through the dict layout on every engine, CSR included.
+
+    The engine picks the peel-state layout (flat arrays on CSR).  The
+    layout-parity tests compare it with the dict layout by swapping the
+    factories the execution context and the upper bound call.
+    """
+    from repro.core import bounds
+    from repro.runtime import DictPeelState, context
+
+    def dict_state(engine, counters=NULL_COUNTERS):
+        return DictPeelState(counters)
+
+    monkeypatch.setattr(context, "make_peel_state", dict_state)
+    monkeypatch.setattr(bounds, "make_peel_state", dict_state)
+    monkeypatch.setattr(context, "make_core_map", lambda engine: {})

@@ -350,7 +350,7 @@ class TestBulkHDegrees:
         sequential = Counters()
         threaded = Counters()
         a = compute_h_degrees(graph, 2, backend="csr", counters=sequential)
-        b = compute_h_degrees(graph, 2, backend="csr", num_threads=4,
+        b = compute_h_degrees(graph, 2, backend="csr", num_workers=4,
                               counters=threaded)
         assert a == b
         assert threaded.vertices_visited == sequential.vertices_visited
@@ -367,44 +367,7 @@ class TestBulkHDegrees:
 
 
 class TestCSRAutoThreshold:
-    """The csr_suitable size gate: keyword > env var > default."""
-
-    def test_keyword_threshold(self):
-        g = path_graph(4)
-        assert csr_suitable(g, min_vertices=0)
-        assert csr_suitable(g, min_vertices=4)
-        assert not csr_suitable(g, min_vertices=5)
-
-    def test_env_var_threshold(self, monkeypatch):
-        g = path_graph(4)
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "100")
-        assert not csr_suitable(g)
-        assert isinstance(resolve_engine(g, "auto"), DictEngine)
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "4")
-        assert csr_suitable(g)
-        assert isinstance(resolve_engine(g, "auto"), CSREngine)
-
-    def test_keyword_overrides_env_var(self, monkeypatch):
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "100")
-        assert csr_suitable(path_graph(4), min_vertices=0)
-
-    def test_explicit_csr_request_bypasses_threshold(self, monkeypatch):
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "100")
-        assert isinstance(resolve_engine(path_graph(4), "csr"), CSREngine)
-
-    def test_invalid_env_var_warns_and_falls_back(self, monkeypatch):
-        # Invalid deployment values degrade to the default policy instead of
-        # crashing every decomposition entry point (PR 5 hardening).
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "many")
-        with pytest.warns(RuntimeWarning, match="not an integer"):
-            assert csr_suitable(path_graph(4))
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "-3")
-        with pytest.warns(RuntimeWarning, match="must be >= 0"):
-            assert csr_suitable(path_graph(4))
-
-    def test_negative_keyword_rejected(self):
-        with pytest.raises(ParameterError):
-            csr_suitable(path_graph(4), min_vertices=-1)
+    """The auto gate has no size threshold: CSR for any all-int graph."""
 
     def test_resolved_backend_name(self, monkeypatch):
         from repro.core.backends import resolved_backend_name
@@ -412,8 +375,8 @@ class TestCSRAutoThreshold:
         assert resolved_backend_name(g, "auto") == "csr"
         assert resolved_backend_name(g, "dict") == "dict"
         assert resolved_backend_name(g, CSREngine(g)) == "csr"
-        monkeypatch.setenv("KH_CORE_CSR_THRESHOLD", "100")
-        assert resolved_backend_name(g, "auto") == "dict"
+        assert resolved_backend_name(empty_graph(1), "auto") == "csr"
+        assert resolved_backend_name(Graph([("a", "b")]), "auto") == "dict"
         with pytest.raises(ParameterError):
             resolved_backend_name(g, "gpu")
 
@@ -428,17 +391,16 @@ class TestNumpyAutoThreshold:
         )
 
         assert resolve_numpy_threshold() == DEFAULT_NUMPY_AUTO_THRESHOLD
-        assert resolve_numpy_threshold(7) == 7
-        with pytest.raises(ParameterError):
-            resolve_numpy_threshold(-1)
+        # The environment variable is the only override; no caller passes
+        # a threshold, so the resolver takes no keyword.
+        with pytest.raises(TypeError):
+            resolve_numpy_threshold(7)
 
     def test_env_var_overrides_default(self, monkeypatch):
         from repro.graph.csr import resolve_numpy_threshold
 
         monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "9000")
         assert resolve_numpy_threshold() == 9000
-        # The keyword still wins over the environment.
-        assert resolve_numpy_threshold(3) == 3
 
     def test_invalid_env_var_warns_and_falls_back(self, monkeypatch):
         from repro.graph.csr import (

@@ -79,9 +79,6 @@ class TestExecutorFlags:
         args = build_parser().parse_args(["graph.txt"])
         assert args.executor == "thread"
         assert args.workers is None
-        # --threads defaults to None so the shared deprecation shim can
-        # tell an explicit legacy request apart from "not given".
-        assert args.threads is None
 
     def test_executor_choices(self):
         with pytest.raises(SystemExit):
@@ -107,11 +104,10 @@ class TestExecutorFlags:
         assert exit_code == 0
         assert "# executor: serial, workers: 3" in capsys.readouterr().err
 
-    def test_workers_defaults_to_threads_value(self, edge_list_file, capsys):
-        exit_code = main([str(edge_list_file), "--h", "2", "--verbose",
-                          "--threads", "2"])
+    def test_workers_default_to_one(self, edge_list_file, capsys):
+        exit_code = main([str(edge_list_file), "--h", "2", "--verbose"])
         assert exit_code == 0
-        assert "# executor: thread, workers: 2" in capsys.readouterr().err
+        assert "# executor: thread, workers: 1" in capsys.readouterr().err
 
 
 class TestVerboseBackend:
@@ -120,12 +116,6 @@ class TestVerboseBackend:
         assert exit_code == 0
         err = capsys.readouterr().err
         assert "# backend: csr (requested: auto)" in err
-
-    def test_verbose_respects_csr_threshold(self, edge_list_file, capsys):
-        exit_code = main([str(edge_list_file), "--h", "2", "--verbose",
-                          "--csr-threshold", "1000"])
-        assert exit_code == 0
-        assert "# backend: dict (requested: auto)" in capsys.readouterr().err
 
     def test_quiet_by_default(self, edge_list_file, capsys):
         main([str(edge_list_file), "--h", "2"])

@@ -9,6 +9,7 @@ from repro.applications.coloring import (
     is_valid_distance_h_coloring,
     smallest_last_order,
 )
+from repro.core.classic import classic_core_decomposition
 from repro.errors import InvalidDistanceThresholdError, ParameterError
 from repro.graph import Graph
 from repro.graph.generators import (
@@ -66,8 +67,10 @@ class TestSmallestLastOrder:
     def test_h1_uses_classic_decomposition(self):
         g = star_graph(4)
         order = smallest_last_order(g, 1)
-        # The hub has the largest degree, so it is removed last.
-        assert order[-1] == 0
+        assert order == classic_core_decomposition(g).removal_order
+        # The hub's degree stays above the leaves' until only one leaf is
+        # left, so at least three leaves are removed before it.
+        assert order.index(0) >= 3
 
 
 class TestValidityChecker:

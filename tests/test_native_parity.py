@@ -458,11 +458,11 @@ class TestEngineResolution:
         assert after != before
 
     def test_array_peel_is_inherited(self):
-        """peel='auto' resolves to the array kernel, as for every CSR child."""
-        from repro.runtime.peel import resolve_peel_kind
+        """The engine peels through the array kernel, as every CSR child."""
+        from repro.runtime.peel import ArrayPeelState, make_peel_state
 
         engine = NativeEngine(gen.cycle_graph(8))
-        assert resolve_peel_kind(engine, "auto") == "array"
+        assert isinstance(make_peel_state(engine), ArrayPeelState)
 
     def test_relabel_through_context(self):
         graph = gen.barabasi_albert_graph(30, 2, seed=2)

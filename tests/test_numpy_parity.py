@@ -376,7 +376,7 @@ class TestEngineResolution:
         assert resolved_backend_name(graph, "auto") == "csr"
         engine = resolve_engine(graph, "auto")
         assert isinstance(engine, CSREngine)
-        assert not isinstance(engine, NumpyEngine)
+        assert type(engine) is CSREngine
 
     def test_refresh_rebuilds_vectorized_scratch(self):
         from repro.traversal.numpy_bfs import NumpyBFS
@@ -460,7 +460,7 @@ class TestWithoutNumpy:
         assert resolved_backend_name(graph, "auto") == "csr"
         engine = resolve_engine(graph, "auto")
         assert isinstance(engine, CSREngine)
-        assert not isinstance(engine, NumpyEngine)
+        assert type(engine) is CSREngine
 
     def test_explicit_request_raises_clear_error(self, monkeypatch):
         from repro.core import backends

@@ -5,9 +5,10 @@ correct": they execute the same operation sequence, pop the same vertex from
 every bucket (most-recently-inserted first), and therefore produce identical
 core numbers, identical removal orders and identical instrumentation totals.
 The deterministic battery drives every generator family through h-LB, h-BZ
-and h-LB+UB on the CSR engine under both layouts; a hypothesis sweep mixes
-backends and executors through the execution context against the dict
-reference.
+and h-LB+UB on the CSR engine under both layouts (the engine picks arrays;
+the dict runs swap the state factory with :func:`helpers.force_dict_peel`);
+a hypothesis sweep mixes backends and executors through the execution
+context against the dict reference.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.runtime import (
     ExecutionContext,
     make_peel_state,
 )
+
+from helpers import force_dict_peel
 
 #: One small representative per generator family (every family in
 #: repro.graph.generators is covered — the same battery the dynamic
@@ -53,9 +56,12 @@ FAMILIES = {
 def run_with_peel(algorithm, graph, h, peel):
     """Run ``algorithm`` on CSR under ``peel``; return (cores, order, counts)."""
     counters = Counters()
-    with ExecutionContext(graph, backend="csr", peel=peel,
-                          counters=counters) as context:
-        result = algorithm(graph, h, context=context)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if peel == "dict":
+            force_dict_peel(monkeypatch)
+        with ExecutionContext(graph, backend="csr",
+                              counters=counters) as context:
+            result = algorithm(graph, h, context=context)
     return result.core_index, result.removal_order, counters.as_dict()
 
 
@@ -102,14 +108,45 @@ def test_layouts_match_dict_backend_reference(family):
 
 
 @pytest.mark.parametrize("peel", ["array", "dict"])
-def test_repeel_region_layouts_agree(peel):
-    """Region re-peel drives the same kernel state; full-region == batch."""
-    graph = gen.relaxed_caveman_graph(4, 4, 0.2, seed=1)
+def test_repeel_region_layouts_agree(peel, monkeypatch):
+    """Both sides of the re-peel size rule agree with the batch peel.
+
+    ``repeel_region`` takes the dict state when ``region ∪ shell`` is under
+    a quarter of the graph, the engine's array state otherwise: the whole
+    graph exercises the array side, one caveman clique plus its frozen
+    shell the dict side.
+    """
+    graph = gen.relaxed_caveman_graph(16, 4, 0.1, seed=1)
     expected = core_decomposition(graph, 2, algorithm="h-LB").core_index
     engine = CSREngine(graph)
-    region = list(engine.nodes())
-    new_core = repeel_region(engine, 2, region, {}, peel=peel)
-    assert engine.to_labels(new_core) == expected
+    if peel == "array":
+        region = list(engine.nodes())
+        shell_levels = {}
+    else:
+        region = [engine.handle_of(v) for v in range(4)]
+        shell_levels = {
+            u: expected[engine.label(u)]
+            for v in region for u in engine.h_neighborhood(v, 2)
+            if u not in region
+        }
+        assert (len(region) + len(shell_levels)) * 4 < engine.num_nodes
+    states = []
+    for layout in (ArrayPeelState, DictPeelState):
+        monkeypatch.setattr(layout, "fill_exact",
+                            _recording(layout.fill_exact, states))
+    new_core = repeel_region(engine, 2, region, shell_levels)
+    assert [type(state) for state in states] == \
+        [ArrayPeelState if peel == "array" else DictPeelState]
+    assert engine.to_labels(new_core) == {
+        engine.label(v): expected[engine.label(v)] for v in region}
+
+
+def _recording(method, calls):
+    """Wrap a peel-state method so each call appends its state to ``calls``."""
+    def wrapper(self, *args, **kwargs):
+        calls.append(self)
+        return method(self, *args, **kwargs)
+    return wrapper
 
 
 class TestPeelStateUnits:

@@ -1,4 +1,4 @@
-"""Tests for the execution runtime: context lifecycle, ownership, shims.
+"""Tests for the execution runtime: context lifecycle, ownership, workers.
 
 Covers the three contracts the runtime layer owns:
 
@@ -6,12 +6,12 @@ Covers the three contracts the runtime layer owns:
   and *never* closes a caller-supplied engine or a caller-supplied context
   (the regression the old copy-pasted ``owned = isinstance(backend, str)``
   pattern existed to enforce, now implemented exactly once).
-* **Worker-count deprecation** — every entry point accepts ``num_workers``
-  and funnels the legacy ``num_threads`` (and CLI ``--threads``) through
-  the single shim in :mod:`repro.runtime.workers`, with one
-  :class:`DeprecationWarning` and the documented precedence.
-* **Context plumbing** — the context's backend/executor/worker/peel choices
-  reach the algorithms, and the context validates its inputs.
+* **Worker count** — the context is the one place a worker count is
+  resolved (``None`` means 1) and validated (below 1 is rejected), for the
+  library, the CLI and the dynamic engine alike.
+* **Context plumbing** — the context's backend/executor/worker choices
+  reach the algorithms, the engine fixes the peel-state layout, and the
+  context validates its inputs.
 """
 
 from __future__ import annotations
@@ -22,15 +22,12 @@ import pytest
 
 from repro.core import (
     CSREngine,
-    DictEngine,
     compute_h_degrees,
     core_decomposition,
     core_decomposition_with_report,
     h_bz,
     h_lb,
     h_lb_ub,
-    improve_lb,
-    upper_bound,
 )
 from repro.cli import main
 from repro.dynamic import DynamicKHCore
@@ -38,10 +35,14 @@ from repro.errors import ParameterError
 from repro.graph.generators import cycle_graph, relaxed_caveman_graph
 from repro.instrumentation import Counters
 from repro.runtime import (
+    ArrayCoreMap,
+    ArrayPeelState,
+    DictPeelState,
     ExecutionContext,
-    resolve_worker_count,
     scoped_context,
 )
+
+from helpers import force_dict_peel
 
 
 class RecordingCSREngine(CSREngine):
@@ -72,7 +73,7 @@ class TestExecutionContext:
         assert ctx.closed
 
     def test_auto_backend_picks_csr_for_integer_graph(self, graph):
-        with ExecutionContext(graph, backend="auto", csr_threshold=0) as ctx:
+        with ExecutionContext(graph, backend="auto") as ctx:
             assert ctx.backend_name == "csr"
 
     def test_close_is_idempotent(self, graph):
@@ -84,13 +85,17 @@ class TestExecutionContext:
     def test_validates_executor_and_peel(self, graph):
         with pytest.raises(ParameterError):
             ExecutionContext(graph, executor="gpu")
-        with pytest.raises(ParameterError):
-            ExecutionContext(graph, peel="linkedlist")
+        # The engine fixes the peel-state layout; there is no knob.
+        with pytest.raises(TypeError):
+            ExecutionContext(graph, peel="dict")
 
     def test_array_peel_requires_csr_engine(self, graph):
-        with ExecutionContext(graph, backend="dict", peel="array") as ctx:
-            with pytest.raises(ParameterError):
-                ctx.make_peel_state()
+        with ExecutionContext(graph, backend="dict") as ctx:
+            assert isinstance(ctx.make_peel_state(), DictPeelState)
+            assert ctx.make_core_map() == {}
+        with ExecutionContext(graph, backend="csr") as ctx:
+            assert isinstance(ctx.make_peel_state(), ArrayPeelState)
+            assert isinstance(ctx.make_core_map(), ArrayCoreMap)
 
     def test_bulk_h_degrees_matches_reference(self, graph):
         expected = compute_h_degrees(graph, 2)
@@ -176,10 +181,15 @@ class TestContextResults:
     """The context API produces the same decompositions as the kwargs API."""
 
     @pytest.mark.parametrize("peel", ["auto", "dict", "array"])
-    def test_peel_layouts_agree_end_to_end(self, graph, peel):
+    def test_peel_layouts_agree_end_to_end(self, graph, peel, monkeypatch):
+        """CSR peels through arrays; "dict" swaps in the dict layout."""
         reference = core_decomposition(graph, 2, algorithm="h-LB",
                                        backend="dict").core_index
-        with ExecutionContext(graph, backend="csr", peel=peel) as ctx:
+        if peel == "dict":
+            force_dict_peel(monkeypatch)
+        expected_state = DictPeelState if peel == "dict" else ArrayPeelState
+        with ExecutionContext(graph, backend="csr") as ctx:
+            assert isinstance(ctx.make_peel_state(), expected_state)
             assert h_lb(graph, 2, context=ctx).core_index == reference
 
     def test_context_counters_are_used(self, graph):
@@ -200,39 +210,32 @@ class TestContextResults:
         assert report.params["num_workers"] == 2
 
 
-class TestWorkerShim:
-    def test_resolution_precedence(self):
-        assert resolve_worker_count(None, None) == 1
-        assert resolve_worker_count(3, None) == 3
-        with pytest.warns(DeprecationWarning):
-            assert resolve_worker_count(None, 2) == 2
-        with pytest.warns(DeprecationWarning):
-            # num_workers wins when both are given.
-            assert resolve_worker_count(4, 2) == 4
+class TestWorkerCount:
+    """The context resolves (None -> 1) and validates the worker count."""
 
-    def test_no_warning_without_legacy_keyword(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_worker_count(2, None) == 2
+    def test_default_is_one_worker(self, graph):
+        with ExecutionContext(graph, backend="dict") as ctx:
+            assert ctx.num_workers == 1
+        with ExecutionContext(graph, backend="dict", num_workers=3) as ctx:
+            assert ctx.num_workers == 3
 
-    @pytest.mark.parametrize("call", [
-        lambda g: h_bz(g, 2, num_threads=2),
-        lambda g: h_lb(g, 2, num_threads=2),
-        lambda g: h_lb_ub(g, 2, num_threads=2),
-        lambda g: core_decomposition(g, 2, algorithm="h-BZ", num_threads=2),
-        lambda g: compute_h_degrees(g, 2, num_threads=2),
-        lambda g: upper_bound(g, 2, num_threads=2),
-        lambda g: improve_lb(g, 2, set(g.vertices()), 1, num_threads=2),
-        lambda g: DictEngine(g).bulk_h_degrees(2, num_threads=2),
-        lambda g: CSREngine(g).bulk_h_degrees(2, num_threads=2),
-        lambda g: DynamicKHCore(g.copy(), h=2, num_threads=2),
-        lambda g: ExecutionContext(g, num_threads=2).close(),
-    ], ids=["h_bz", "h_lb", "h_lb_ub", "facade", "compute_h_degrees",
-            "upper_bound", "improve_lb", "dict_engine", "csr_engine",
-            "dynamic", "context"])
-    def test_every_entry_point_deprecates_num_threads(self, graph, call):
-        with pytest.warns(DeprecationWarning, match="num_threads"):
-            call(graph)
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_context_rejects_fewer_than_one_worker(self, graph, workers):
+        with pytest.raises(ParameterError, match="num_workers"):
+            ExecutionContext(graph, backend="csr", executor="process",
+                             num_workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_entry_points_reject_fewer_than_one_worker(self, graph, workers):
+        with pytest.raises(ParameterError):
+            core_decomposition(graph, 2, algorithm="h-LB+UB",
+                               num_workers=workers)
+        with pytest.raises(ParameterError):
+            compute_h_degrees(graph, 2, num_workers=workers)
+
+    def test_dynamic_engine_rejects_zero_workers(self, graph):
+        with pytest.raises(ParameterError, match="num_workers"):
+            DynamicKHCore(graph.copy(), h=2, num_workers=0)
 
     def test_num_workers_spelling_is_silent(self, graph):
         with warnings.catch_warnings():
@@ -241,19 +244,23 @@ class TestWorkerShim:
             core_decomposition(graph, 2, num_workers=2)
             compute_h_degrees(graph, 2, num_workers=2)
 
-    def test_cli_threads_flag_warns_and_works(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_cli_rejects_fewer_than_one_worker(self, tmp_path, capsys,
+                                               workers):
         edges = tmp_path / "g.edges"
         edges.write_text("0 1\n1 2\n2 0\n")
-        with pytest.warns(DeprecationWarning, match="--threads"):
-            exit_code = main([str(edges), "--h", "2", "--verbose",
-                              "--threads", "2"])
-        assert exit_code == 0
-        assert "workers: 2" in capsys.readouterr().err
+        exit_code = main([str(edges), "--h", "2", "--verbose",
+                          "--workers", workers, "--executor", "process"])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "num_workers" in err
 
     def test_cli_workers_flag_is_silent(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
         edges.write_text("0 1\n1 2\n2 0\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            exit_code = main([str(edges), "--h", "2", "--workers", "2"])
+            exit_code = main([str(edges), "--h", "2", "--verbose",
+                              "--workers", "2"])
         assert exit_code == 0
+        assert "workers: 2" in capsys.readouterr().err
