@@ -8,19 +8,13 @@ kernels produce exactly the h-degrees of the interpreted engines (asserted
 here per workload, exhaustively in ``tests/test_numpy_engine.py``), so the
 ratios below are pure kernel effects.
 
-Three claims are asserted, not assumed:
+Two claims are asserted, not assumed:
 
 1. **>= 3x on the bulk h-degree pass for two workloads** where the h-balls
    are dense enough for the bit-parallel sweep: the hub-dominated star
    (every leaf's h-ball is the whole graph; measured ~20-30x) and the
    power-law-cluster family at h=3 (hub-coupled balls; measured ~10-25x).
-2. **The cache-locality BFS relabeling alone wins on the hub-dominated
-   preferential-attachment workload** — same interpreted CSR engine, same
-   arrays, only the vertex enumeration order changes, clustering each
-   hub's neighborhood into adjacent indices (measured ~1.1-1.3x at full
-   size; at quick size the working set fits cache and the guard is
-   not-slower).
-3. **Never meaningfully slower**: on frontier-kernel workloads (sparse
+2. **Never meaningfully slower**: on frontier-kernel workloads (sparse
    meshes, small-world graphs at h=2) the numpy engine must stay ahead of
    the CSR engine, not just on the dense-sweep showcases.
 
@@ -79,12 +73,6 @@ SPARSE_BATTERY = [
                                              0.05, seed=0), 2),
     ("grid h3", lambda: grid_graph(*(2 * (40 if QUICK else 110,))), 3),
 ]
-
-#: Hub-dominated relabeling workload (claim 2).
-RELABEL_SIZE = 10000 if QUICK else 30000
-#: Full-size bar for the relabeling win; quick mode only guards
-#: "not slower" because the quick working set is cache-resident anyway.
-RELABEL_REQUIRED = 0.95 if QUICK else 1.02
 
 #: The benchmark artifact (uploaded by CI; see bench_utils for the dir).
 ARTIFACT = "BENCH_PR5.json"
@@ -168,37 +156,6 @@ def test_numpy_not_slower_on_frontier_workloads(name, builder, h):
     assert numpy_seconds < csr_seconds * 1.25, (
         f"numpy engine regressed below the CSR engine on {name}: "
         f"numpy={numpy_seconds:.3f}s csr={csr_seconds:.3f}s"
-    )
-
-
-def test_relabel_win_on_hub_workload():
-    """BFS relabeling alone speeds the CSR bulk pass on the BA hub graph."""
-    _xdist_guard()
-    graph = barabasi_albert_graph(RELABEL_SIZE, 3, seed=0)
-    plain = CSREngine(graph)
-    relabeled = CSREngine(graph, relabel="bfs")
-    # Same label-space h-degrees regardless of the internal index order.
-    assert (relabeled.to_labels(relabeled.bulk_h_degrees(2,
-                                                         executor="serial"))
-            == plain.to_labels(plain.bulk_h_degrees(2, executor="serial")))
-    plain_seconds, relabeled_seconds = _interleaved_bulk(
-        [plain, relabeled], 2, rounds=4)
-    win = (plain_seconds / relabeled_seconds if relabeled_seconds
-           else float("inf"))
-    print(f"\nBA({RELABEL_SIZE}, 3) h=2 csr: none={plain_seconds:.3f}s "
-          f"bfs-relabel={relabeled_seconds:.3f}s win={win:.2f}x "
-          f"(required: {RELABEL_REQUIRED}x{' quick' if QUICK else ''})")
-    write_bench_json(ARTIFACT, {"relabel/BA hub": {
-        "vertices": graph.num_vertices,
-        "h": 2,
-        "plain_seconds": round(plain_seconds, 5),
-        "relabeled_seconds": round(relabeled_seconds, 5),
-        "win": round(win, 2),
-        "required": RELABEL_REQUIRED,
-    }})
-    assert win >= RELABEL_REQUIRED, (
-        f"bfs relabeling win degraded to {win:.2f}x on "
-        f"BA({RELABEL_SIZE}, 3) (required >= {RELABEL_REQUIRED}x)"
     )
 
 

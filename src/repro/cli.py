@@ -67,7 +67,7 @@ from typing import Hashable, Optional, Sequence
 from repro.core import core_decomposition_with_report
 from repro.core.backends import resolved_backend_name
 from repro.dynamic import DynamicKHCore, read_update_stream
-from repro.errors import ReproError
+from repro.errors import ParameterError, ReproError
 from repro.graph import Graph, read_edge_list
 from repro.graph.generators import relaxed_caveman_graph
 from repro.graph.storage import BLOCK_SUFFIX
@@ -93,10 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decomposition algorithm (default: auto)")
     _add_backend_arguments(parser)
     parser.add_argument("--storage-dir", default=None,
-                        help="directory for storage=mmap block files "
-                             "(default: the system temp dir)")
+                        help="directory for the mmap block file a CSR "
+                             "snapshot spills to once its payload reaches "
+                             "KH_CORE_MMAP_THRESHOLD (default: the system "
+                             "temp dir)")
     parser.add_argument("--partition-size", type=int, default=1,
-                        help="partition size S for h-LB+UB (default: 1)")
+                        help="partition size S for h-LB+UB, at least 1 "
+                             "(default: 1)")
     parser.add_argument("--workers", type=int, default=None,
                         help="workers for the bulk h-degree passes, at "
                              "least 1 (default: 1)")
@@ -130,8 +133,9 @@ def build_stream_parser() -> argparse.ArgumentParser:
                         help="distance threshold h (default: 2)")
     _add_backend_arguments(parser)
     parser.add_argument("--batch-size", type=int, default=1,
-                        help="apply updates in batches of this size "
-                             "(default: 1 = one maintenance round per update)")
+                        help="apply updates in batches of this size, at "
+                             "least 1 (default: 1 = one maintenance round "
+                             "per update)")
     parser.add_argument("--fallback-ratio", type=float, default=None,
                         help="dirty-region fraction of |V| above which a "
                              "batch falls back to full recomputation "
@@ -339,19 +343,6 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
                              "auto (the fastest installed engine for large "
                              "integer-vertex graphs, csr below the size "
                              "thresholds)")
-    parser.add_argument("--relabel", default=None,
-                        choices=("none", "degree", "bfs"),
-                        help="cache-locality vertex relabeling applied at "
-                             "CSR build time (degree: hubs first, bfs: "
-                             "neighbors clustered); results are unaffected, "
-                             "only the internal index order changes")
-    parser.add_argument("--storage", default="auto",
-                        choices=("auto", "ram", "mmap"),
-                        help="where the CSR snapshot arrays live: ram "
-                             "(in-process), mmap (an on-disk block file, "
-                             "for graphs larger than RAM), or auto (mmap "
-                             "above the KH_CORE_MMAP_THRESHOLD payload "
-                             "size, ram below)")
 
 
 def _load_graph(args: argparse.Namespace, mutable: bool = False):
@@ -430,8 +421,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with ExecutionContext(graph, backend=backend,
                               executor=args.executor,
                               num_workers=args.workers,
-                              relabel=args.relabel,
-                              storage=args.storage,
                               storage_dir=args.storage_dir) as context:
             report = core_decomposition_with_report(
                 graph, args.h, algorithm=args.algorithm,
@@ -470,6 +459,9 @@ def stream_main(argv: Sequence[str]) -> int:
     parser = build_stream_parser()
     args = parser.parse_args(list(argv))
     try:
+        if args.batch_size < 1:
+            raise ParameterError(
+                f"batch_size must be >= 1 (got {args.batch_size})")
         if args.graph and args.graph.endswith(BLOCK_SUFFIX):
             raise ReproError(
                 f"{args.graph}: CSR block files are read-only snapshots; "
@@ -482,7 +474,6 @@ def stream_main(argv: Sequence[str]) -> int:
             engine_kwargs["fallback_ratio"] = args.fallback_ratio
         backend = resolved_backend_name(graph, args.backend)
         engine = DynamicKHCore(graph, h=args.h, backend=backend,
-                               relabel=args.relabel, storage=args.storage,
                                **engine_kwargs)
         if args.verbose:
             print(f"# backend: {backend} (requested: {args.backend})",
@@ -490,7 +481,7 @@ def stream_main(argv: Sequence[str]) -> int:
             print(f"# initial graph: {graph.num_vertices} vertices, "
                   f"{graph.num_edges} edges", file=sys.stderr)
 
-        batch_size = max(1, args.batch_size)
+        batch_size = args.batch_size
         started = time.perf_counter()
         for offset in range(0, len(updates), batch_size):
             summary = engine.apply_batch(updates[offset:offset + batch_size])
@@ -543,7 +534,6 @@ def serve_main(argv: Sequence[str]) -> int:
         if args.repeel_budget is not None:
             service_kwargs["repeel_budget"] = args.repeel_budget
         service = CoreService(graph, h=args.h, backend=backend,
-                              relabel=args.relabel, storage=args.storage,
                               fallback_ratio=args.fallback_ratio,
                               executor=args.executor,
                               num_workers=args.workers,

@@ -13,7 +13,10 @@ packages those primitives behind two interchangeable *engines*:
   :class:`~repro.graph.csr.CSRGraph`, handles are vertex *indices*, the alive
   set is a byte mask (:class:`AliveMask`) and traversals run through the
   array-based :class:`~repro.traversal.array_bfs.ArrayBFS` with its
-  generation trick.
+  generation trick.  The engine owns its snapshot: vertices keep the
+  graph's insertion order, the ``"auto"`` storage rule picks RAM lists or
+  an mmap block (``KH_CORE_MMAP_THRESHOLD``), and :meth:`CSREngine.refresh`
+  delta-rebuilds a RAM snapshot and fully rebuilds a spilled one.
 
 Algorithms are written once against the engine API (see
 :mod:`repro.core.hbz`, :mod:`repro.core.peeling`, :mod:`repro.core.bounds`),
@@ -265,12 +268,10 @@ class CSREngine:
     name = "csr"
 
     __slots__ = ("graph", "csr", "_scratch", "built_version", "_shm_pool",
-                 "_process_downgraded", "relabel", "_storage", "_storage_dir",
-                 "_owns_csr", "resilience")
+                 "_process_downgraded", "_storage_dir", "_owns_csr",
+                 "resilience")
 
     def __init__(self, graph: Graph, csr: Optional[CSRGraph] = None,
-                 relabel: Optional[str] = None,
-                 storage: str = "auto",
                  storage_dir: Optional[str] = None) -> None:
         self.graph = graph
         self._shm_pool = None
@@ -280,18 +281,9 @@ class CSREngine:
         #: Recovery tally for this engine's supervised dispatches (all-zero
         #: on a fault-free run); printed by ``kh-core --verbose``.
         self.resilience = ResilienceReport()
-        #: Cache-locality permutation requested for this engine's snapshots;
-        #: re-applied if a refresh ever falls back to a full rebuild.
-        self.relabel = relabel
-        #: Storage tier for engine-built snapshots ("ram" / "mmap" / "auto")
-        #: and where mmap spill files go; supplied snapshots keep theirs.
-        self._storage = storage
+        #: Where engine-built snapshots spill when the ``"auto"`` storage
+        #: rule sends them to an mmap block (default: the system temp dir).
         self._storage_dir = storage_dir
-        if csr is not None and relabel is not None:
-            raise ParameterError(
-                "relabel only applies when the engine builds its own CSR "
-                "snapshot; the supplied snapshot's vertex order is fixed"
-            )
         if csr is not None and (
                 (csr.source_version is not None
                  and csr.source_version != graph.version)
@@ -309,9 +301,7 @@ class CSREngine:
         # The engine owns (and closes) only storage it allocated itself; a
         # supplied snapshot's mmap block belongs to whoever built it.
         self._owns_csr = csr is None
-        self.csr = csr if csr is not None else CSRGraph.from_graph(
-            graph, relabel=relabel, storage=storage,
-            storage_dir=storage_dir)
+        self.csr = csr if csr is not None else self._build_csr()
         self._scratch = self._make_scratch()
         self.built_version = graph.version
 
@@ -338,6 +328,16 @@ class CSREngine:
         """
         return self._scratch
 
+    def _build_csr(self) -> CSRGraph:
+        """Full snapshot of the graph under the ``"auto"`` storage rule.
+
+        The snapshot spills to an mmap block under ``storage_dir`` when its
+        estimated payload reaches ``KH_CORE_MMAP_THRESHOLD``, and stays in
+        RAM lists otherwise.
+        """
+        return CSRGraph.from_graph(self.graph, storage="auto",
+                                   storage_dir=self._storage_dir)
+
     def refresh(self, touched=None) -> None:
         """Re-snapshot a mutated graph, reusing untouched CSR rows.
 
@@ -346,20 +346,19 @@ class CSREngine:
         ``None`` forces a full rebuild.  Indices of surviving vertices are
         stable across a delta refresh, so handles held by callers remain
         valid.  No-op when the snapshot is already current.
+
+        Where the current snapshot lives picks the path: a RAM snapshot is
+        delta-rebuilt, while an mmap snapshot (immutable file views) is
+        rebuilt in full under the ``"auto"`` storage rule, so a spilled
+        snapshot stays spilled.
         """
         if self.built_version == self.graph.version:
             return
         previous = self.csr
-        if self._storage == "ram":
-            self.csr = previous.rebuilt(self.graph, touched,
-                                        relabel=self.relabel)
+        if previous.storage_kind == "ram":
+            self.csr = previous.rebuilt(self.graph, touched)
         else:
-            # Delta reuse only applies to RAM lists; a storage-tiered
-            # engine rebuilds under its configured policy so a spilled
-            # snapshot stays spilled across refreshes.
-            self.csr = CSRGraph.from_graph(self.graph, relabel=self.relabel,
-                                           storage=self._storage,
-                                           storage_dir=self._storage_dir)
+            self.csr = self._build_csr()
         if self._owns_csr and previous is not self.csr:
             previous.close()
         self._owns_csr = True
@@ -669,8 +668,6 @@ GraphLike = Union[Graph, FrozenGraphView]
 
 
 def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
-                   relabel: Optional[str] = None,
-                   storage: str = "auto",
                    storage_dir: Optional[str] = None) -> Engine:
     """Return the engine requested by ``backend`` for ``graph``.
 
@@ -685,31 +682,16 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
     engine otherwise (``KH_CORE_NUMPY_THRESHOLD`` /
     ``KH_CORE_NATIVE_THRESHOLD`` gate the step-ups).
 
-    ``relabel`` applies a cache-locality vertex permutation at CSR build
-    time (``"degree"`` / ``"bfs"`` — see
-    :func:`~repro.graph.csr.relabel_order`); it changes only the internal
-    index order, never label-space results, and is ignored by the dict
-    engine (which has no index layout to permute).
-
-    ``storage`` / ``storage_dir`` select the storage tier for engine-built
-    CSR snapshots (:data:`repro.graph.storage.STORAGES`): ``"auto"`` (the
-    default) keeps historical in-RAM behavior below the mmap threshold and
-    spills giant snapshots to a temp block file; ``"mmap"`` forces the
-    spill.  A :class:`~repro.graph.views.FrozenGraphView` input skips the
-    build entirely — its embedded snapshot (whatever tier it lives on) is
-    reused as the engine's arrays, which is how a stream-loaded on-disk
-    graph decomposes without ever expanding into dicts.
+    A CSR-family engine builds its own snapshot in the graph's insertion
+    order and picks the storage tier itself: RAM lists, or an mmap block
+    under ``storage_dir`` once the estimated payload reaches
+    ``KH_CORE_MMAP_THRESHOLD``.  A :class:`~repro.graph.views.FrozenGraphView`
+    input skips the build entirely — its embedded snapshot (whatever tier
+    it lives on) is reused as the engine's arrays, which is how a
+    stream-loaded on-disk graph decomposes without ever expanding into
+    dicts.
     """
     if isinstance(backend, (DictEngine, CSREngine)):
-        if relabel is not None:
-            # Same conflict as CSREngine(csr=..., relabel=...): an existing
-            # engine's index order is fixed, so silently ignoring the
-            # request would leave the caller believing the permutation is
-            # active.
-            raise ParameterError(
-                "relabel only applies when an engine is built from a "
-                "backend name; the supplied engine's vertex order is fixed"
-            )
         if backend.graph is not graph:
             raise ParameterError(
                 "the supplied engine was built for a different graph"
@@ -732,11 +714,6 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
     # (its version property matches the snapshot's stamp, so the supplied-
     # snapshot validation passes) instead of rebuilding the arrays.
     frozen_csr = graph.csr if isinstance(graph, FrozenGraphView) else None
-    if frozen_csr is not None and relabel is not None:
-        raise ParameterError(
-            "relabel does not apply to a FrozenGraphView: its snapshot's "
-            "vertex order is fixed"
-        )
     if name == "dict":
         return DictEngine(graph)
     if name == "numpy":
@@ -752,8 +729,7 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
                 "(pip install 'kh-core-repro[numpy]'); the 'csr' and "
                 "'dict' engines run without it"
             )
-        return NumpyEngine(graph, csr=frozen_csr, relabel=relabel,
-                           storage=storage, storage_dir=storage_dir)
+        return NumpyEngine(graph, csr=frozen_csr, storage_dir=storage_dir)
     if name == "native":
         if not native_available():
             if os.environ.get("KH_CORE_DISABLE_NATIVE", "") not in ("", "0"):
@@ -767,10 +743,8 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
                 "(pip install 'kh-core-repro[native]'); the 'numpy', 'csr' "
                 "and 'dict' engines run without it"
             )
-        return NativeEngine(graph, csr=frozen_csr, relabel=relabel,
-                            storage=storage, storage_dir=storage_dir)
-    return CSREngine(graph, csr=frozen_csr, relabel=relabel,
-                     storage=storage, storage_dir=storage_dir)
+        return NativeEngine(graph, csr=frozen_csr, storage_dir=storage_dir)
+    return CSREngine(graph, csr=frozen_csr, storage_dir=storage_dir)
 
 
 def resolved_backend_name(graph: GraphLike, backend: Union[str, Engine]) -> str:

@@ -60,7 +60,8 @@ def core_decomposition(graph: Graph, h: int,
         only), ``"naive"`` (reference oracle, tiny graphs only), ``"h-BZ"``,
         ``"h-LB"``, or ``"h-LB+UB"``.
     partition_size:
-        Parameter ``S`` of h-LB+UB (ignored by the other algorithms).
+        Parameter ``S`` of h-LB+UB, at least 1 (validated for every
+        algorithm, so a bad value fails the same way whichever one runs).
     num_workers:
         Worker count for the bulk h-degree computations (§4.6); at least 1
         (default 1).
@@ -111,6 +112,9 @@ def core_decomposition(graph: Graph, h: int,
         )
     if not isinstance(h, int) or isinstance(h, bool) or h < 1:
         raise InvalidDistanceThresholdError(h)
+    if partition_size < 1:
+        raise ParameterError(
+            f"partition_size must be >= 1 (got {partition_size})")
     _validate_executor(executor)
     if counters is not None:
         sink = counters

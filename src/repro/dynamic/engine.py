@@ -26,6 +26,11 @@ engine exploits that locality:
    dense hub), recompute from scratch with the configured batch algorithm.
    The fallback is a correctness-neutral performance policy.
 
+On the CSR-family backends each batch ends with a snapshot refresh that
+the peeling engine decides on its own: a RAM snapshot is delta-rebuilt
+from the batch's touched vertices, a snapshot spilled to an mmap block
+(``KH_CORE_MMAP_THRESHOLD``) is rebuilt in full and stays spilled.
+
 The engine owns its graph: apply updates through :meth:`apply` /
 :meth:`apply_batch`.  Out-of-band mutations of the underlying
 :class:`~repro.graph.graph.Graph` are detected through its version counter
@@ -83,18 +88,11 @@ class DynamicKHCore:
         ``"dict"``, ``"csr"``, ``"numpy"``, ``"native"`` or ``"auto"`` —
         resolved once at construction and kept for the engine's lifetime.
         The CSR-family backends (``csr`` plus the vectorized ``numpy`` and
-        compiled ``native`` engines) delta-rebuild their snapshot after
-        each batch (touched rows only), the dict backend reads the live
-        graph.
-    relabel:
-        Optional cache-locality vertex permutation (``"degree"`` / ``"bfs"``)
-        applied whenever a CSR-family snapshot is built; maintained cores
-        are label-space and unaffected.
-    storage:
-        Storage tier for CSR-family snapshots (``"auto"`` / ``"ram"`` /
-        ``"mmap"`` — see :mod:`repro.graph.storage`).  Dynamic maintenance
-        still keeps the live dict graph in RAM; this only controls where
-        the peeling snapshots spill.
+        compiled ``native`` engines) refresh their snapshot after each
+        batch: a RAM snapshot is delta-rebuilt (touched rows only), a
+        snapshot the engine spilled to an mmap block
+        (``KH_CORE_MMAP_THRESHOLD``) is rebuilt in full and stays spilled.
+        The dict backend reads the live graph.
     algorithm:
         Batch algorithm used for the initial decomposition and every full
         recomputation (``"auto"`` dispatches as in
@@ -111,7 +109,7 @@ class DynamicKHCore:
         back.
     num_workers / executor / partition_size:
         Forwarded to the batch algorithm on full recomputations
-        (``num_workers`` must be >= 1; default 1).
+        (``num_workers`` and ``partition_size`` must be >= 1; default 1).
     counters:
         Optional shared instrumentation sink for all traversal work.
     initial_cores:
@@ -142,8 +140,6 @@ class DynamicKHCore:
                  counters: Optional[Counters] = None,
                  executor: str = "thread",
                  num_workers: Optional[int] = None,
-                 relabel: Optional[str] = None,
-                 storage: str = "auto",
                  initial_cores: Optional[Dict[Vertex, int]] = None) -> None:
         if not isinstance(h, int) or isinstance(h, bool) or h < 1:
             raise InvalidDistanceThresholdError(h)
@@ -156,6 +152,9 @@ class DynamicKHCore:
             raise ParameterError("fallback_ratio must be in [0, 1]")
         if max_expansions < 0:
             raise ParameterError("max_expansions must be >= 0")
+        if partition_size < 1:
+            raise ParameterError(
+                f"partition_size must be >= 1 (got {partition_size})")
 
         self.graph = graph if graph is not None else Graph()
         self.h = h
@@ -170,17 +169,13 @@ class DynamicKHCore:
         #: ("dict", "csr", "numpy" or "native").
         self.backend = resolved_backend_name(self.graph, backend)
         self.executor = executor
-        self.relabel = relabel
-        self.storage = storage
         #: The execution context owns the peeling engine (and any worker
         #: pool it spins up) for the engine's whole lifetime; rebuilt only
         #: if the graph object itself is swapped out from under us.
         self._context = ExecutionContext(self.graph, backend=self.backend,
                                          executor=executor,
                                          num_workers=num_workers,
-                                         counters=self.counters,
-                                         relabel=relabel,
-                                         storage=storage)
+                                         counters=self.counters)
         self.num_workers = self._context.num_workers
         self._core: Dict[Vertex, int] = {}
         self._synced_version: int = -1
@@ -226,7 +221,7 @@ class DynamicKHCore:
             csr = context.engine.csr
             if csr.source_version == self.graph.version:
                 return csr
-        return CSRGraph.from_graph(self.graph, relabel=self.relabel)
+        return CSRGraph.from_graph(self.graph)
 
     def core_number(self, v: Vertex) -> int:
         """Current core index of one vertex (raises KeyError if absent)."""
@@ -540,8 +535,7 @@ class DynamicKHCore:
                 context.close()
             self._context = context = ExecutionContext(
                 self.graph, backend=self.backend, executor=self.executor,
-                num_workers=self.num_workers, counters=self.counters,
-                relabel=self.relabel, storage=self.storage)
+                num_workers=self.num_workers, counters=self.counters)
         elif isinstance(context.engine, CSREngine):
             context.engine.refresh(touched)
         return context.engine

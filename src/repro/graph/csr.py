@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ParameterError, VertexNotFoundError
@@ -61,11 +60,6 @@ DEFAULT_NATIVE_AUTO_THRESHOLD = 2048
 
 #: Environment variable overriding :data:`DEFAULT_NATIVE_AUTO_THRESHOLD`.
 NATIVE_THRESHOLD_ENV_VAR = "KH_CORE_NATIVE_THRESHOLD"
-
-#: Cache-locality relabeling strategies accepted by
-#: :meth:`CSRGraph.from_graph` (``None`` behaves like ``"none"``).
-RELABEL_STRATEGIES = ("none", "degree", "bfs")
-
 
 class IdentityIndex:
     """``index_of`` mapping for snapshots whose labels are exactly ``0..n-1``.
@@ -162,24 +156,14 @@ class CSRGraph:
 
     @classmethod
     def from_graph(cls, graph: Graph,
-                   relabel: Optional[str] = None,
                    storage: str = "ram",
                    storage_path: Optional[str] = None,
                    storage_dir: Optional[str] = None) -> "CSRGraph":
         """Relabel ``graph`` to ``0..n-1`` and pack adjacency into flat arrays.
 
-        By default, vertex order follows the graph's (deterministic)
-        insertion order; neighbor indices are sorted per vertex, which keeps
-        traversal order deterministic and slightly improves locality.
-
-        ``relabel`` selects a cache-locality permutation instead (see
-        :func:`relabel_order`): ``"degree"`` enumerates vertices in
-        degree-descending order, ``"bfs"`` in a breadth-first order seeded at
-        the highest-degree vertex of each component.  Either way the
-        ``labels`` / ``index_of`` pair *is* the inverse mapping, so results
-        expressed in label space (core numbers, h-degrees, counters) are
-        unaffected — only the internal index enumeration (and therefore
-        traversal order and memory-access pattern) changes.
+        Vertex order follows the graph's (deterministic) insertion order;
+        neighbor indices are sorted per vertex, which keeps traversal order
+        deterministic and slightly improves locality.
 
         ``storage`` selects the tier the arrays end up in: ``"ram"`` (the
         default — plain lists), ``"mmap"`` (the build is spilled to a block
@@ -193,7 +177,7 @@ class CSRGraph:
         not the build's; for end-to-end bounded loading use
         :meth:`from_edge_file`.
         """
-        labels = relabel_order(graph, relabel)
+        labels = list(graph.vertices())
         index_of = {v: i for i, v in enumerate(labels)}
         indptr: List[int] = [0] * (len(labels) + 1)
         adjacency: List[int] = []
@@ -281,8 +265,7 @@ class CSRGraph:
             csr.close()
 
     def rebuilt(self, graph: Graph,
-                touched: Optional[Iterable[Vertex]] = None,
-                relabel: Optional[str] = None) -> "CSRGraph":
+                touched: Optional[Iterable[Vertex]] = None) -> "CSRGraph":
         """Return a snapshot of ``graph`` reusing as much of this one as possible.
 
         ``touched`` is the set of vertex labels whose adjacency may differ
@@ -292,24 +275,21 @@ class CSRGraph:
         verbatim.  New vertices are appended, so **indices of existing
         vertices are stable across the rebuild** — the property the dynamic
         maintenance engine relies on to keep handle-keyed state valid.
-        (The delta path therefore preserves whatever enumeration order this
-        snapshot was built with, relabeled or not.)
 
         Falls back to a full :meth:`from_graph` build when ``touched`` is
         ``None`` or when a vertex of this snapshot has been removed (index
-        stability is impossible then); ``relabel`` is the permutation to
-        re-apply on that path, so an engine's requested cache-locality
-        layout survives the fallback.  An mmap-backed snapshot always takes
+        stability is impossible then).  An mmap-backed snapshot always takes
         the full-rebuild path — its arrays are immutable file views — and
-        the rebuild lands in RAM: a graph under mutation is dict-resident
-        anyway, so the out-of-core tier is for static snapshots.
+        the rebuild lands in RAM; :meth:`CSREngine.refresh
+        <repro.core.backends.CSREngine.refresh>` therefore rebuilds a
+        spilled snapshot itself, under the ``"auto"`` storage rule.
         """
         if touched is None or self.storage_kind != "ram":
-            return CSRGraph.from_graph(graph, relabel=relabel)
+            return CSRGraph.from_graph(graph)
         touched_set = {v for v in touched if v in graph}
         if graph.num_vertices < len(self.labels) or any(
                 label not in graph for label in self.labels):
-            return CSRGraph.from_graph(graph, relabel=relabel)
+            return CSRGraph.from_graph(graph)
 
         index_of = self.index_of
         added = [v for v in graph.vertices() if v not in index_of]
@@ -462,58 +442,6 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(|V|={self.num_vertices}, |E|={self.num_edges})"
-
-
-def relabel_order(graph: Graph, relabel: Optional[str]) -> List[Vertex]:
-    """Vertex enumeration order for a CSR build, per ``relabel`` strategy.
-
-    * ``None`` / ``"none"`` — the graph's insertion order (the historical
-      behavior).
-    * ``"degree"`` — degree-descending, ties broken by insertion order.
-      Hubs (and thus the most-gathered adjacency rows and ``seen`` slots)
-      land at small indices, clustering the hot rows of skewed graphs.
-    * ``"bfs"`` — breadth-first order seeded at the highest-degree vertex of
-      each component (neighbors expanded degree-descending, ties by
-      insertion order).  Neighboring vertices get nearby indices, which
-      turns the frontier gathers of mesh-like graphs into near-sequential
-      scans.
-
-    The order is deterministic for any hashable vertex type — ties never
-    compare vertex labels, only insertion positions.
-    """
-    vertices = list(graph.vertices())
-    if relabel is None or relabel == "none":
-        return vertices
-    if relabel not in RELABEL_STRATEGIES:
-        raise ParameterError(
-            f"unknown relabel strategy {relabel!r}; expected one of "
-            f"{RELABEL_STRATEGIES}"
-        )
-    position = {v: i for i, v in enumerate(vertices)}
-
-    def rank(v: Vertex) -> Tuple[int, int]:
-        """Sort key: degree-descending, ties by insertion position."""
-        return (-graph.degree(v), position[v])
-
-    by_degree = sorted(vertices, key=rank)
-    if relabel == "degree":
-        return by_degree
-
-    order: List[Vertex] = []
-    seen = set()
-    for start in by_degree:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = deque((start,))
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in sorted(graph.neighbors(v), key=rank):
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-    return order
 
 
 def resolve_numpy_threshold() -> int:

@@ -89,11 +89,10 @@ LABELS_VOLATILE = 2
 BLOCK_SUFFIX = ".khcsr"
 LABELS_SUFFIX = ".labels"
 
-#: Storage names accepted wherever ``storage=`` is threaded through.
+#: Storage names accepted by the snapshot builders
+#: (:meth:`~repro.graph.csr.CSRGraph.from_graph`, ``from_edge_file``).
+#: Engines always build under ``"auto"``.
 STORAGES = ("auto", "ram", "mmap")
-
-#: Environment variable forcing the ``storage="auto"`` decision.
-STORAGE_ENV_VAR = "KH_CORE_STORAGE"
 
 #: Environment variable overriding :data:`DEFAULT_MMAP_AUTO_THRESHOLD`.
 MMAP_THRESHOLD_ENV_VAR = "KH_CORE_MMAP_THRESHOLD"
@@ -174,12 +173,10 @@ def resolve_storage(storage: str,
                     payload_bytes: Optional[int] = None) -> str:
     """Resolve a ``storage=`` request to a concrete ``"ram"`` or ``"mmap"``.
 
-    ``"auto"`` consults the ``KH_CORE_STORAGE`` environment variable first
-    (an operator override naming ``ram`` or ``mmap``), then spills to mmap
-    when ``payload_bytes`` — typically :func:`estimated_payload_bytes` —
-    meets the ``KH_CORE_MMAP_THRESHOLD`` gate (default
-    :data:`DEFAULT_MMAP_AUTO_THRESHOLD`).  With no size estimate, auto
-    stays in RAM.
+    ``"auto"`` spills to mmap when ``payload_bytes`` — typically
+    :func:`estimated_payload_bytes` — meets the ``KH_CORE_MMAP_THRESHOLD``
+    gate (default :data:`DEFAULT_MMAP_AUTO_THRESHOLD`): ``0`` always spills,
+    a huge value never does.  With no size estimate, auto stays in RAM.
     """
     if storage not in STORAGES:
         raise ParameterError(
@@ -187,14 +184,6 @@ def resolve_storage(storage: str,
         )
     if storage != "auto":
         return storage
-    forced = os.environ.get(STORAGE_ENV_VAR)
-    if forced:
-        if forced in ("ram", "mmap"):
-            return forced
-        warnings.warn(
-            f"{STORAGE_ENV_VAR}={forced!r} is not 'ram' or 'mmap'; "
-            f"ignoring the override",
-            RuntimeWarning, stacklevel=2)
     if payload_bytes is None:
         return "ram"
     threshold = _env_threshold(MMAP_THRESHOLD_ENV_VAR,

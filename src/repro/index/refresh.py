@@ -24,7 +24,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tupl
 from repro.dynamic.engine import DynamicKHCore
 from repro.dynamic.stats import UpdateSummary
 from repro.dynamic.stream import INSERT, EdgeUpdate, normalize_op
-from repro.errors import IndexMismatchError
+from repro.errors import IndexMismatchError, ParameterError
 from repro.index.build import write_full_state
 from repro.index.store import (
     KIND_REBUILD,
@@ -83,7 +83,7 @@ class IndexRefresher:
     ----------
     path:
         An existing, complete index database.
-    backend / fallback_ratio / relabel:
+    backend / fallback_ratio:
         Forwarded to every per-threshold :class:`DynamicKHCore` engine.
     staleness_ratio:
         See :data:`DEFAULT_STALENESS_RATIO`.
@@ -99,7 +99,6 @@ class IndexRefresher:
         backend: str = "auto",
         staleness_ratio: float = DEFAULT_STALENESS_RATIO,
         fallback_ratio: Optional[float] = None,
-        relabel: Optional[str] = None,
     ) -> None:
         if not 0.0 <= staleness_ratio <= 1.0:
             raise ValueError("staleness_ratio must be in [0, 1]")
@@ -114,7 +113,7 @@ class IndexRefresher:
             )
         self._vids = self.store.load_vids()
         self._next_vid = self.store.max_vid() + 1
-        engine_kwargs: Dict[str, Any] = {"backend": backend, "relabel": relabel}
+        engine_kwargs: Dict[str, Any] = {"backend": backend}
         if fallback_ratio is not None:
             engine_kwargs["fallback_ratio"] = fallback_ratio
         #: One maintenance engine per persisted threshold.  Each owns a
@@ -387,9 +386,10 @@ def refresh_index(
 
     Convenience wrapper used by ``kh-core index refresh``: one
     :class:`IndexRefresher` session, ``updates`` applied in order in
-    batches of ``batch_size``, summaries returned per batch.
+    batches of ``batch_size`` (at least 1), summaries returned per batch.
     """
-    batch_size = max(1, batch_size)
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1 (got {batch_size})")
     summaries: List[RefreshSummary] = []
     with IndexRefresher(
         path,

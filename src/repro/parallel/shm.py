@@ -19,9 +19,9 @@ receiving it over a pipe.  The payload layout is the storage tier's one
   per-dispatch traffic over the pipe is only ``(chunk, h, generation)``
   descriptors.
 
-When the snapshot already lives in an on-disk block file
-(``storage="mmap"``), copying it into shared memory would defeat the point
-of spilling it.  :class:`FileCSRExport` instead ships workers the *path*:
+When the snapshot already lives in an on-disk block file (an mmap-backed
+snapshot), copying it into shared memory would defeat the point of
+spilling it.  :class:`FileCSRExport` instead ships workers the *path*:
 each worker maps the block file read-only (the OS page cache makes this a
 genuinely shared, zero-copy attach) and only the small mutable ``alive``
 region travels through a dedicated shared-memory block.
@@ -39,7 +39,7 @@ import mmap
 import os
 import secrets
 from multiprocessing import shared_memory
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
@@ -55,11 +55,8 @@ from repro.graph.storage import (
 #: generation, alive shm name)``.  ``kind`` is ``"shm"`` (the block *is* a
 #: shared-memory segment; alive name is ``None`` — the region trails the
 #: arrays) or ``"file"`` (attach by mapping the block file; the mutable
-#: alive region lives in its own small shm segment).  The legacy 4-tuple
-#: ``(name, n, m2, generation)`` is still accepted by :class:`SharedCSRView`.
+#: alive region lives in its own small shm segment).
 SharedCSRLayout = Tuple[str, str, int, int, int, Optional[str]]
-
-_LegacyLayout = Tuple[str, int, int, int]
 
 #: Prefix of every segment this library creates.  The owner pid is encoded
 #: in the name so ``kh-core doctor`` can tell an orphan (owner dead) from a
@@ -221,19 +218,15 @@ class SharedCSRView:
     ``ArrayBFS`` scratch (visit marks stay private per process; sharing them
     would be a data race) can run the h-bounded traversals directly on the
     shared arrays.  Accepts both attachment styles (``"shm"`` and
-    ``"file"``) plus the legacy 4-tuple shm descriptor.
+    ``"file"``).
     """
 
     __slots__ = ("shm", "indptr", "adjacency", "alive_region",
                  "num_vertices", "generation", "name", "_numpy_views",
                  "_mm", "_fh", "_alive_shm", "_buf")
 
-    def __init__(self, layout: Union[SharedCSRLayout, _LegacyLayout]) -> None:
-        if len(layout) == 4:  # legacy shm descriptor
-            kind, name, n, m2, generation, alive_name = (
-                "shm", layout[0], layout[1], layout[2], layout[3], None)
-        else:
-            kind, name, n, m2, generation, alive_name = layout
+    def __init__(self, layout: SharedCSRLayout) -> None:
+        kind, name, n, m2, generation, alive_name = layout
         self.name = name
         self.num_vertices = n
         self.generation = generation

@@ -86,11 +86,8 @@ def _layout_key(layout: SharedCSRLayout) -> tuple:
 
     The generation matters for file attachments — a re-export keeps the
     same block path but allocates a fresh alive segment, so a stale cached
-    attachment must be dropped.  Legacy 4-tuple descriptors key on the shm
-    name and generation alike.
+    attachment must be dropped.
     """
-    if len(layout) == 4:
-        return ("shm", layout[0], layout[3])
     return (layout[0], layout[1], layout[4])
 
 

@@ -17,6 +17,10 @@ place:
 * **Peel-state layout** — fixed by the engine: the flat-array peel state on
   CSR-family engines, the dict state otherwise
   (:func:`repro.runtime.peel.make_peel_state`).
+* **CSR snapshot** — built and refreshed by the engine, never chosen by the
+  caller: vertices keep the graph's insertion order and the ``"auto"``
+  storage rule picks RAM or an mmap block (``KH_CORE_MMAP_THRESHOLD``);
+  only the spill directory (``storage_dir``) is a deployment setting.
 * **Close/ownership semantics** — :meth:`close` tears down engines the
   context resolved itself (process pools, shared-memory exports) and *never*
   touches a caller-supplied engine; the context is a context manager, so
@@ -67,20 +71,13 @@ class ExecutionContext:
         raise :class:`~repro.errors.ParameterError`.
     counters:
         Instrumentation sink shared by every phase run under this context.
-    relabel:
-        Optional cache-locality vertex permutation applied when the context
-        builds a CSR-family engine from a name: ``"degree"`` (hubs first)
-        or ``"bfs"`` (neighbors clustered).  Label-space results are
-        unaffected; the dict engine ignores it.
-    storage:
-        Storage tier for context-built CSR snapshots (``"auto"`` / ``"ram"``
-        / ``"mmap"`` — see :mod:`repro.graph.storage`).  ``"auto"`` stays in
-        RAM below the ``KH_CORE_MMAP_THRESHOLD`` gate and spills giant
-        snapshots to a memory-mapped temp block file; ``"mmap"`` forces the
-        spill.  A :class:`~repro.graph.views.FrozenGraphView` input reuses
-        its embedded snapshot regardless.
     storage_dir:
-        Directory for mmap spill files (default: the system temp dir).
+        Directory for the mmap block a CSR-family engine spills its
+        snapshot to once the estimated payload reaches
+        ``KH_CORE_MMAP_THRESHOLD`` (default: the system temp dir).  The
+        engine decides the vertex order and the storage tier itself; a
+        :class:`~repro.graph.views.FrozenGraphView` input reuses its
+        embedded snapshot.
 
     Example
     -------
@@ -99,8 +96,6 @@ class ExecutionContext:
     def __init__(self, graph, backend="auto", executor: str = "thread",
                  num_workers: Optional[int] = None,
                  counters: Counters = NULL_COUNTERS,
-                 relabel: Optional[str] = None,
-                 storage: str = "auto",
                  storage_dir: Optional[str] = None) -> None:
         from repro.core.backends import resolve_engine
         from repro.core.parallel import _validate_executor
@@ -115,8 +110,7 @@ class ExecutionContext:
         self.executor = executor
         self.num_workers = num_workers
         self.counters = counters
-        self.engine = resolve_engine(graph, backend, relabel=relabel,
-                                     storage=storage, storage_dir=storage_dir)
+        self.engine = resolve_engine(graph, backend, storage_dir=storage_dir)
         #: True when the context resolved the engine from a name and is
         #: therefore responsible for tearing it down; False for
         #: caller-supplied engines, which :meth:`close` never touches.
@@ -200,9 +194,7 @@ class ExecutionContext:
 def scoped_context(graph, context: Optional[ExecutionContext] = None,
                    backend="auto", executor: str = "thread",
                    num_workers: Optional[int] = None,
-                   counters: Counters = NULL_COUNTERS,
-                   storage: str = "auto",
-                   storage_dir: Optional[str] = None
+                   counters: Counters = NULL_COUNTERS
                    ) -> Iterator[ExecutionContext]:
     """Yield ``context`` if supplied, else a fresh context closed on exit.
 
@@ -223,8 +215,7 @@ def scoped_context(graph, context: Optional[ExecutionContext] = None,
         yield context
         return
     fresh = ExecutionContext(graph, backend=backend, executor=executor,
-                             num_workers=num_workers, counters=counters,
-                             storage=storage, storage_dir=storage_dir)
+                             num_workers=num_workers, counters=counters)
     try:
         yield fresh
     finally:

@@ -87,8 +87,7 @@ class CoreService:
         Initial graph (owned by the service's engine from here on).
     h:
         Distance threshold the resident engine maintains.
-    backend / relabel / storage / algorithm / fallback_ratio / executor /
-    num_workers:
+    backend / algorithm / fallback_ratio / executor / num_workers:
         Forwarded to :class:`~repro.dynamic.DynamicKHCore`.
     max_batch:
         Upper bound on updates per batch (see :data:`DEFAULT_MAX_BATCH`).
@@ -115,8 +114,6 @@ class CoreService:
         graph: Optional[Graph] = None,
         h: int = 2,
         backend: str = "auto",
-        relabel: Optional[str] = None,
-        storage: str = "auto",
         algorithm: str = "auto",
         fallback_ratio: Optional[float] = None,
         executor: str = "thread",
@@ -140,8 +137,6 @@ class CoreService:
             graph,
             h=h,
             backend=backend,
-            relabel=relabel,
-            storage=storage,
             algorithm=algorithm,
             executor=executor,
             num_workers=num_workers,

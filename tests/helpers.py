@@ -13,6 +13,7 @@ it.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import networkx as nx
 
@@ -65,3 +66,46 @@ def force_dict_peel(monkeypatch) -> None:
     monkeypatch.setattr(context, "make_peel_state", dict_state)
     monkeypatch.setattr(bounds, "make_peel_state", dict_state)
     monkeypatch.setattr(context, "make_core_map", lambda engine: {})
+
+
+#: Vertex insertion orders the engine parity batteries sweep.  A CSR
+#: snapshot indexes vertices in the graph's insertion order, so
+#: re-inserting a graph hub-first or breadth-first hands every CSR-family
+#: engine a permuted index layout; label-space results must not move.
+INSERTION_ORDERS = [None, "degree", "bfs"]
+
+
+def reinserted(graph: Graph, order) -> Graph:
+    """``graph`` with its vertices inserted in ``order`` (``None``: as is).
+
+    ``"degree"`` inserts vertices degree-descending, ties by insertion
+    position; ``"bfs"`` inserts them breadth-first from the highest-degree
+    vertex of each component, expanding neighbors in that same rank.  Ties
+    never compare labels, so any hashable vertex type works.
+    """
+    if order is None:
+        return graph
+    vertices = list(graph.vertices())
+    position = {v: i for i, v in enumerate(vertices)}
+
+    def rank(v):
+        return (-graph.degree(v), position[v])
+
+    sequence = sorted(vertices, key=rank)
+    if order == "bfs":
+        by_degree, sequence, seen = sequence, [], set()
+        for start in by_degree:
+            if start in seen:
+                continue
+            seen.add(start)
+            queue = deque((start,))
+            while queue:
+                v = queue.popleft()
+                sequence.append(v)
+                for u in sorted(graph.neighbors(v), key=rank):
+                    if u not in seen:
+                        seen.add(u)
+                        queue.append(u)
+    permuted = Graph(vertices=sequence)
+    permuted.add_edges_from(graph.edges())
+    return permuted

@@ -200,24 +200,24 @@ class TestStreamSubcommand:
 
 
 class TestNumpyBackendFlags:
-    """--backend numpy and --relabel (PR 5)."""
+    """--backend numpy; the engine owns the CSR snapshot's layout."""
 
     def test_relabel_choices(self):
-        args = build_parser().parse_args(["g.txt", "--relabel", "degree"])
-        assert args.relabel == "degree"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["g.txt", "--relabel", "random"])
+        # Vertex order and storage tier are no longer caller choices on
+        # any command that builds an engine.
+        from repro.cli import build_serve_parser, build_stream_parser
+
+        for parser, positional in ((build_parser, "g.txt"),
+                                   (build_stream_parser, "u.txt"),
+                                   (build_serve_parser, "g.txt")):
+            args = vars(parser().parse_args([positional]))
+            assert "relabel" not in args and "storage" not in args
+            with pytest.raises(SystemExit):
+                parser().parse_args([positional, "--relabel", "degree"])
 
     def test_backend_numpy_accepted_by_parser(self):
         args = build_parser().parse_args(["g.txt", "--backend", "numpy"])
         assert args.backend == "numpy"
-
-    def test_relabel_does_not_change_output(self, edge_list_file, capsys):
-        assert main([str(edge_list_file), "--h", "2"]) == 0
-        plain = capsys.readouterr().out
-        assert main([str(edge_list_file), "--h", "2",
-                     "--relabel", "bfs"]) == 0
-        assert capsys.readouterr().out == plain
 
     def test_numpy_backend_runs_or_fails_cleanly(self, edge_list_file,
                                                  capsys):
@@ -246,15 +246,6 @@ class TestNumpyBackendFlags:
         monkeypatch.setenv("KH_CORE_NUMPY_THRESHOLD", "0")
         assert main([str(edge_list_file), "--h", "2", "--verbose"]) == 0
         assert "# backend: numpy (requested: auto)" in capsys.readouterr().err
-
-    def test_stream_accepts_relabel(self, tmp_path, capsys):
-        updates = tmp_path / "updates.txt"
-        updates.write_text("+ 0 1\n+ 1 2\n+ 2 0\n")
-        from repro.cli import stream_main
-
-        assert stream_main([str(updates), "--h", "2",
-                            "--relabel", "degree", "--summary"]) == 0
-        assert "core" in capsys.readouterr().out
 
 
 class TestIndexSubcommand:
@@ -439,12 +430,30 @@ class TestBlockFileInput:
         assert main([str(block_file), "--h", "2"]) == 0
         assert capsys.readouterr().out == from_edges
 
-    def test_storage_mmap_flag_matches_default(self, edge_list_file, capsys):
+    def test_storage_mmap_flag_matches_default(self, edge_list_file, capsys,
+                                               monkeypatch, tmp_path):
+        """An engine-built spill (threshold 0) prints the in-RAM cores."""
+        from repro.graph.csr import CSRGraph
+
         assert main([str(edge_list_file), "--h", "2"]) == 0
         baseline = capsys.readouterr().out
-        assert main([str(edge_list_file), "--h", "2", "--storage", "mmap",
-                     "--backend", "csr"]) == 0
+        spills = []
+        spill = CSRGraph._spill_to_mmap.__func__
+
+        def recording_spill(cls, *args):
+            spills.append(args)
+            return spill(cls, *args)
+
+        monkeypatch.setattr(CSRGraph, "_spill_to_mmap",
+                            classmethod(recording_spill))
+        monkeypatch.setenv("KH_CORE_MMAP_THRESHOLD", "0")
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        assert main([str(edge_list_file), "--h", "2", "--backend", "csr",
+                     "--storage-dir", str(spill_dir)]) == 0
         assert capsys.readouterr().out == baseline
+        assert len(spills) == 1
+        assert list(spill_dir.iterdir()) == []  # the spill was released
 
     def test_stream_rejects_block_file(self, block_file, tmp_path, capsys):
         updates = tmp_path / "u.txt"

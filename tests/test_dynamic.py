@@ -1,5 +1,7 @@
 """Unit tests for the dynamic (k,h)-core maintenance engine."""
 
+import random
+
 import pytest
 
 from repro.core import core_decomposition
@@ -23,11 +25,13 @@ from repro.errors import (
     ParameterError,
 )
 from repro.graph import Graph
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
     erdos_renyi_graph,
     path_graph,
+    powerlaw_cluster_graph,
     relaxed_caveman_graph,
     star_graph,
 )
@@ -434,3 +438,75 @@ class TestChangedVertices:
         after = engine.core_numbers()
         expected = {v for v in after if before.get(v) != after[v]}
         assert summary.changed_vertices == frozenset(expected)
+
+
+class TestSnapshotRefresh:
+    """A CSR-family engine refreshes its own snapshot after every batch."""
+
+    @staticmethod
+    def insertions(graph, count, seed):
+        """``count`` one-edge insertion batches; every fifth adds a vertex."""
+        rng = random.Random(seed)
+        vertices = list(graph.vertices())
+        batches, present = [], set()
+        while len(batches) < count:
+            if len(batches) % 5 == 4:
+                u, v = rng.choice(vertices), f"new-{len(batches)}"
+            else:
+                u, v = rng.sample(vertices, 2)
+                if graph.has_edge(u, v) or frozenset((u, v)) in present:
+                    continue
+            present.add(frozenset((u, v)))
+            batches.append([(INSERT, u, v)])
+        return batches
+
+    def test_ram_snapshot_refreshes_through_delta_rebuild(self, monkeypatch):
+        graph = powerlaw_cluster_graph(400, 2, 0.3, seed=1)
+        engine = DynamicKHCore(graph, h=2, backend="csr")
+        calls = {"rebuilt": 0, "from_graph": 0}
+        rebuilt = CSRGraph.rebuilt
+        from_graph = CSRGraph.from_graph.__func__
+
+        def counting_rebuilt(snapshot, *args, **kwargs):
+            calls["rebuilt"] += 1
+            return rebuilt(snapshot, *args, **kwargs)
+
+        def counting_from_graph(cls, *args, **kwargs):
+            calls["from_graph"] += 1
+            return from_graph(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CSRGraph, "rebuilt", counting_rebuilt)
+        monkeypatch.setattr(CSRGraph, "from_graph",
+                            classmethod(counting_from_graph))
+        try:
+            for batch in self.insertions(graph, 20, seed=2):
+                before = dict(calls)
+                engine.apply_batch(batch)
+                assert calls["rebuilt"] == before["rebuilt"] + 1
+                assert calls["from_graph"] == before["from_graph"]
+                snapshot = engine.csr_snapshot()
+                assert snapshot.storage_kind == "ram"
+                full = from_graph(CSRGraph, engine.graph)
+                assert list(snapshot.indptr) == list(full.indptr)
+                assert list(snapshot.adjacency) == list(full.adjacency)
+                assert list(snapshot.labels) == list(full.labels)
+            assert calls == {"rebuilt": 20, "from_graph": 0}
+            assert_exact(engine)
+        finally:
+            engine.close()
+
+    def test_spilled_snapshot_stays_spilled(self, monkeypatch):
+        monkeypatch.setenv("KH_CORE_MMAP_THRESHOLD", "0")
+        graph = powerlaw_cluster_graph(120, 2, 0.3, seed=1)
+        engine = DynamicKHCore(graph, h=2, backend="csr")
+        try:
+            for batch in self.insertions(graph, 6, seed=3):
+                engine.apply_batch(batch)
+                snapshot = engine.csr_snapshot()
+                assert snapshot.storage_kind == "mmap"
+                full = CSRGraph.from_graph(engine.graph)
+                assert list(snapshot.indptr) == list(full.indptr)
+                assert list(snapshot.adjacency) == list(full.adjacency)
+            assert_exact(engine)
+        finally:
+            engine.close()

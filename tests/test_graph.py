@@ -5,6 +5,8 @@ import pytest
 from repro.errors import EdgeNotFoundError, GraphError, VertexNotFoundError
 from repro.graph import Graph
 
+from helpers import reinserted
+
 
 class TestConstruction:
     def test_empty_graph(self):
@@ -281,7 +283,13 @@ class TestDerivedGraphs:
 
 
 class TestRelabelOrder:
-    """Cache-locality relabeling strategies for CSR builds (PR 5)."""
+    """CSR snapshots index vertices in insertion order.
+
+    The engine parity batteries permute CSR indices by re-inserting a graph
+    in another vertex order (``helpers.reinserted``); these tests pin that
+    the snapshot follows the order and that the permutations are the ones
+    the batteries claim to sweep.
+    """
 
     def _star_with_tail(self):
         # hub 0 with leaves 1..4, plus a path 5-6 appended later.
@@ -289,26 +297,26 @@ class TestRelabelOrder:
         return g
 
     def test_none_is_insertion_order(self):
-        from repro.graph.csr import relabel_order
+        from repro.graph.csr import CSRGraph
 
         g = self._star_with_tail()
-        assert relabel_order(g, None) == list(g.vertices())
-        assert relabel_order(g, "none") == list(g.vertices())
+        assert CSRGraph.from_graph(g).labels == list(g.vertices())
+        assert reinserted(g, None) is g
 
     def test_degree_descending_with_insertion_ties(self):
-        from repro.graph.csr import relabel_order
+        from repro.graph.csr import CSRGraph
 
-        g = self._star_with_tail()
-        order = relabel_order(g, "degree")
+        order = CSRGraph.from_graph(
+            reinserted(self._star_with_tail(), "degree")).labels
         assert order[0] == 0  # the hub
         # All degree-1 vertices follow in insertion order.
         assert order[1:] == [1, 2, 3, 4, 5, 6]
 
     def test_bfs_clusters_neighbors_per_component(self):
-        from repro.graph.csr import relabel_order
+        from repro.graph.csr import CSRGraph
 
         g = Graph([(0, 1), (1, 2), (2, 3), (3, 0), (10, 11)])
-        order = relabel_order(g, "bfs")
+        order = CSRGraph.from_graph(reinserted(g, "bfs")).labels
         assert set(order) == set(g.vertices())
         # Within the cycle, each vertex appears adjacent to a neighbor.
         positions = {v: i for i, v in enumerate(order)}
@@ -318,22 +326,15 @@ class TestRelabelOrder:
         assert set(tail) == {10, 11}
 
     def test_deterministic_for_non_comparable_labels(self):
-        from repro.graph.csr import relabel_order
+        from repro.graph.csr import CSRGraph
 
         # Mixed label types: ties must never compare labels directly.
         g = Graph([("a", 1), (1, (2, 3)), (("x",), "a")])
         for strategy in ("degree", "bfs"):
-            first = relabel_order(g, strategy)
-            second = relabel_order(g, strategy)
+            first = CSRGraph.from_graph(reinserted(g, strategy)).labels
+            second = CSRGraph.from_graph(reinserted(g, strategy)).labels
             assert first == second
             assert set(first) == set(g.vertices())
-
-    def test_unknown_strategy_rejected(self):
-        from repro.errors import ParameterError
-        from repro.graph.csr import relabel_order
-
-        with pytest.raises(ParameterError):
-            relabel_order(Graph([(0, 1)]), "random")
 
     def test_from_graph_relabel_preserves_topology(self):
         from repro.graph import CSRGraph
@@ -341,7 +342,7 @@ class TestRelabelOrder:
         g = self._star_with_tail()
         plain = CSRGraph.from_graph(g)
         for strategy in ("degree", "bfs"):
-            permuted = CSRGraph.from_graph(g, relabel=strategy)
+            permuted = CSRGraph.from_graph(reinserted(g, strategy))
             assert permuted.num_vertices == plain.num_vertices
             assert permuted.num_edges == plain.num_edges
             for v in g.vertices():

@@ -4,8 +4,8 @@ Exactly the contract the numpy battery enforces, one engine further up the
 ladder: the native engine drives the *same* peel kernels through a
 structurally-twin scratch, so core numbers, h-degrees, removal orders and
 instrumentation totals must be bit-identical to every interpreted engine —
-across every generator family, for h in {1, 2, 3}, with and without the
-cache-locality relabeling, over every executor, and through the
+across every generator family, for h in {1, 2, 3}, under permuted vertex
+insertion orders, over every executor, and through the
 shared-memory process path.
 
 Numba itself is optional even for this battery: when it is absent the
@@ -37,11 +37,12 @@ from repro.core.backends import (
 )
 from repro.errors import ParameterError
 from repro.graph import generators as gen
-from repro.graph.csr import CSRGraph, relabel_order
+from repro.graph.csr import CSRGraph
 from repro.instrumentation import Counters
 from repro.runtime import ExecutionContext
 from repro.traversal.array_bfs import DEAD, AliveMask, ArrayBFS
 
+from helpers import INSERTION_ORDERS, reinserted
 from test_peel_state import FAMILIES
 
 # The native *code paths* need only NumPy: the autouse fixture below allows
@@ -49,8 +50,6 @@ from test_peel_state import FAMILIES
 # real Numba install.
 requires_numpy = pytest.mark.skipif(not numpy_available(),
                                     reason="NumPy not installed")
-
-RELABELS = [None, "degree", "bfs"]
 
 
 @pytest.fixture(autouse=True)
@@ -70,15 +69,15 @@ def _label_degrees(engine, h, **kwargs):
 class TestBulkParity:
     @pytest.mark.parametrize("h", [1, 2, 3])
     @pytest.mark.parametrize("family", sorted(FAMILIES), ids=sorted(FAMILIES))
-    @pytest.mark.parametrize("relabel", RELABELS,
+    @pytest.mark.parametrize("order", INSERTION_ORDERS,
                              ids=["plain", "degree", "bfs"])
-    def test_bulk_h_degrees_all_families(self, family, h, relabel):
+    def test_bulk_h_degrees_all_families(self, family, h, order):
         """native == csr == dict h-degrees, and native/csr counter totals."""
-        graph = FAMILIES[family]()
+        graph = reinserted(FAMILIES[family](), order)
         reference = _label_degrees(DictEngine(graph), h)
         csr_counters, native_counters = Counters(), Counters()
-        csr = CSREngine(graph, relabel=relabel)
-        compiled = NativeEngine(graph, relabel=relabel)
+        csr = CSREngine(graph)
+        compiled = NativeEngine(graph)
         assert _label_degrees(csr, h, counters=csr_counters) == reference
         assert _label_degrees(compiled, h,
                               counters=native_counters) == reference
@@ -145,21 +144,22 @@ class TestAlgorithmParity:
 
     @pytest.mark.parametrize("algorithm", [h_bz, h_lb, h_lb_ub],
                              ids=["h-BZ", "h-LB", "h-LB+UB"])
-    @pytest.mark.parametrize("relabel", RELABELS,
+    @pytest.mark.parametrize("order", INSERTION_ORDERS,
                              ids=["plain", "degree", "bfs"])
-    def test_relabeled_runs_agree(self, algorithm, relabel):
-        """Relabeling changes indices, never label-space results."""
-        graph = gen.powerlaw_cluster_graph(24, 2, 0.4, seed=9)
-        reference = algorithm(graph, 2, backend="dict").core_index
+    def test_relabeled_runs_agree(self, algorithm, order):
+        """Insertion order changes CSR indices, never label-space results."""
+        source = gen.powerlaw_cluster_graph(24, 2, 0.4, seed=9)
+        reference = algorithm(source, 2, backend="dict").core_index
+        graph = reinserted(source, order)
         runs = {}
         for backend in ("csr", "native"):
             counters = Counters()
-            with ExecutionContext(graph, backend=backend, relabel=relabel,
+            with ExecutionContext(graph, backend=backend,
                                   counters=counters) as context:
                 result = algorithm(graph, 2, context=context)
-            assert result.core_index == reference, (backend, relabel)
+            assert result.core_index == reference, (backend, order)
             runs[backend] = (result.removal_order, counters.as_dict())
-        # Under the *same* relabeling the two engines share one handle
+        # Under the *same* insertion order the two engines share one handle
         # space, so even the removal orders and counters coincide.
         assert runs["native"] == runs["csr"]
 
@@ -181,21 +181,21 @@ class TestAlgorithmParity:
         h=st.integers(min_value=1, max_value=3),
         executor=st.sampled_from(["serial", "thread"]),
         workers=st.integers(min_value=1, max_value=3),
-        relabel=st.sampled_from(RELABELS),
+        order=st.sampled_from(INSERTION_ORDERS),
     )
     def test_hypothesis_native_executor_sweep(self, num_vertices,
                                               edge_probability, seed, h,
-                                              executor, workers, relabel):
+                                              executor, workers, order):
         """Random graphs through the context: every mix equals the reference."""
         import os
 
         os.environ.setdefault("KH_CORE_NATIVE_ALLOW_INTERPRETED", "1")
-        graph = gen.erdos_renyi_graph(num_vertices, edge_probability,
-                                      seed=seed)
+        graph = reinserted(gen.erdos_renyi_graph(num_vertices,
+                                                 edge_probability, seed=seed),
+                           order)
         reference = h_lb(graph, h, backend="dict").core_index
         with ExecutionContext(graph, backend="native", executor=executor,
-                              num_workers=workers,
-                              relabel=relabel) as context:
+                              num_workers=workers) as context:
             for algorithm in (h_lb, h_lb_ub, h_bz):
                 assert algorithm(graph, h,
                                  context=context).core_index == reference
@@ -465,17 +465,17 @@ class TestEngineResolution:
         assert isinstance(make_peel_state(engine), ArrayPeelState)
 
     def test_relabel_through_context(self):
-        graph = gen.barabasi_albert_graph(30, 2, seed=2)
-        with ExecutionContext(graph, backend="native",
-                              relabel="degree") as context:
-            assert context.engine.csr.labels == relabel_order(graph,
-                                                              "degree")
+        """The context's engine indexes vertices in insertion order."""
+        graph = reinserted(gen.barabasi_albert_graph(30, 2, seed=2),
+                           "degree")
+        with ExecutionContext(graph, backend="native") as context:
+            assert context.engine.csr.labels == list(graph.vertices())
 
     def test_dynamic_engine_on_native_backend(self):
         from repro.dynamic import DynamicKHCore
 
-        graph = gen.cycle_graph(8)
-        engine = DynamicKHCore(graph, h=2, backend="native", relabel="bfs")
+        graph = reinserted(gen.cycle_graph(8), "bfs")
+        engine = DynamicKHCore(graph, h=2, backend="native")
         try:
             assert engine.backend == "native"
             engine.insert_edge(0, 4)

@@ -4,10 +4,10 @@ The numpy engine is not "approximately the CSR engine but faster": it drives
 the *same* peel kernels through a structurally-twin scratch, so core
 numbers, h-degrees, removal orders and instrumentation totals must be
 bit-identical to the interpreted engines.  The battery asserts exactly
-that — across every generator family, for h in {1, 2, 3}, with and without
-the cache-locality relabeling, through both bulk kernels (stamped frontier
-and bit-parallel dense), over every executor, and through the shared-memory
-process path's zero-copy ``np.frombuffer`` views.
+that — across every generator family, for h in {1, 2, 3}, under permuted
+vertex insertion orders (so permuted CSR indices), through both bulk
+kernels (stamped frontier and bit-parallel dense), over every executor, and
+through the shared-memory process path's zero-copy ``np.frombuffer`` views.
 
 Everything here skips cleanly when NumPy is absent except the fallback
 battery at the bottom, which asserts the *degraded* behavior: ``auto``
@@ -34,17 +34,16 @@ from repro.core.backends import (
 )
 from repro.errors import ParameterError
 from repro.graph import generators as gen
-from repro.graph.csr import CSRGraph, relabel_order
+from repro.graph.csr import CSRGraph
 from repro.instrumentation import Counters
 from repro.runtime import ExecutionContext
 from repro.traversal.array_bfs import DEAD, AliveMask, ArrayBFS
 
+from helpers import INSERTION_ORDERS, reinserted
 from test_peel_state import FAMILIES
 
 requires_numpy = pytest.mark.skipif(not numpy_available(),
                                     reason="NumPy not installed")
-
-RELABELS = [None, "degree", "bfs"]
 
 
 def _label_degrees(engine, h, **kwargs):
@@ -58,15 +57,15 @@ def _label_degrees(engine, h, **kwargs):
 class TestBulkParity:
     @pytest.mark.parametrize("h", [1, 2, 3])
     @pytest.mark.parametrize("family", sorted(FAMILIES), ids=sorted(FAMILIES))
-    @pytest.mark.parametrize("relabel", RELABELS,
+    @pytest.mark.parametrize("order", INSERTION_ORDERS,
                              ids=["plain", "degree", "bfs"])
-    def test_bulk_h_degrees_all_families(self, family, h, relabel):
+    def test_bulk_h_degrees_all_families(self, family, h, order):
         """numpy == csr == dict h-degrees, and numpy/csr counter totals."""
-        graph = FAMILIES[family]()
+        graph = reinserted(FAMILIES[family](), order)
         reference = _label_degrees(DictEngine(graph), h)
         csr_counters, numpy_counters = Counters(), Counters()
-        csr = CSREngine(graph, relabel=relabel)
-        vec = NumpyEngine(graph, relabel=relabel)
+        csr = CSREngine(graph)
+        vec = NumpyEngine(graph)
         assert _label_degrees(csr, h, counters=csr_counters) == reference
         assert _label_degrees(vec, h, counters=numpy_counters) == reference
         assert numpy_counters.as_dict() == csr_counters.as_dict()
@@ -131,21 +130,22 @@ class TestAlgorithmParity:
 
     @pytest.mark.parametrize("algorithm", [h_bz, h_lb, h_lb_ub],
                              ids=["h-BZ", "h-LB", "h-LB+UB"])
-    @pytest.mark.parametrize("relabel", RELABELS,
+    @pytest.mark.parametrize("order", INSERTION_ORDERS,
                              ids=["plain", "degree", "bfs"])
-    def test_relabeled_runs_agree(self, algorithm, relabel):
-        """Relabeling changes indices, never label-space results."""
-        graph = gen.powerlaw_cluster_graph(24, 2, 0.4, seed=9)
-        reference = algorithm(graph, 2, backend="dict").core_index
+    def test_relabeled_runs_agree(self, algorithm, order):
+        """Insertion order changes CSR indices, never label-space results."""
+        source = gen.powerlaw_cluster_graph(24, 2, 0.4, seed=9)
+        reference = algorithm(source, 2, backend="dict").core_index
+        graph = reinserted(source, order)
         runs = {}
         for backend in ("csr", "numpy"):
             counters = Counters()
-            with ExecutionContext(graph, backend=backend, relabel=relabel,
+            with ExecutionContext(graph, backend=backend,
                                   counters=counters) as context:
                 result = algorithm(graph, 2, context=context)
-            assert result.core_index == reference, (backend, relabel)
+            assert result.core_index == reference, (backend, order)
             runs[backend] = (result.removal_order, counters.as_dict())
-        # Under the *same* relabeling the two engines share one handle
+        # Under the *same* insertion order the two engines share one handle
         # space, so even the removal orders and counters coincide.
         assert runs["numpy"] == runs["csr"]
 
@@ -158,19 +158,19 @@ class TestAlgorithmParity:
         backend=st.sampled_from(["dict", "csr", "numpy", "auto"]),
         executor=st.sampled_from(["serial", "thread"]),
         workers=st.integers(min_value=1, max_value=3),
-        relabel=st.sampled_from(RELABELS),
+        order=st.sampled_from(INSERTION_ORDERS),
     )
     def test_hypothesis_engine_executor_sweep(self, num_vertices,
                                               edge_probability, seed, h,
                                               backend, executor, workers,
-                                              relabel):
+                                              order):
         """Random graphs through the context: every mix equals the reference."""
-        graph = gen.erdos_renyi_graph(num_vertices, edge_probability,
-                                      seed=seed)
+        graph = reinserted(gen.erdos_renyi_graph(num_vertices,
+                                                 edge_probability, seed=seed),
+                           order)
         reference = h_lb(graph, h, backend="dict").core_index
         with ExecutionContext(graph, backend=backend, executor=executor,
-                              num_workers=workers,
-                              relabel=relabel) as context:
+                              num_workers=workers) as context:
             for algorithm in (h_lb, h_lb_ub, h_bz):
                 assert algorithm(graph, h,
                                  context=context).core_index == reference
@@ -357,7 +357,7 @@ class TestSharedMemoryViews:
 
 
 # --------------------------------------------------------------------- #
-# engine resolution, refresh, relabeling plumbing
+# engine resolution, refresh, vertex-order plumbing
 # --------------------------------------------------------------------- #
 @requires_numpy
 class TestEngineResolution:
@@ -393,51 +393,57 @@ class TestEngineResolution:
         assert after != before
 
     def test_relabel_through_context(self):
-        graph = gen.barabasi_albert_graph(30, 2, seed=2)
-        with ExecutionContext(graph, backend="numpy",
-                              relabel="degree") as context:
-            assert context.engine.csr.labels == relabel_order(graph,
-                                                              "degree")
+        """The context's engine indexes vertices in insertion order."""
+        graph = reinserted(gen.barabasi_albert_graph(30, 2, seed=2),
+                           "degree")
+        with ExecutionContext(graph, backend="numpy") as context:
+            assert context.engine.csr.labels == list(graph.vertices())
 
     def test_relabel_rejected_with_supplied_snapshot(self):
+        # The engine owns its vertex order: there is no option to pass.
         graph = gen.cycle_graph(6)
         snapshot = CSRGraph.from_graph(graph)
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             CSREngine(graph, csr=snapshot, relabel="degree")
 
     def test_relabel_rejected_with_supplied_engine(self):
-        # Silently ignoring the request would leave the caller believing
-        # the permutation is active; mirror the supplied-snapshot error.
+        # Neither the vertex order nor the storage tier is a caller's
+        # choice on any layer any more.
         graph = gen.cycle_graph(6)
         engine = CSREngine(graph)
-        with pytest.raises(ParameterError, match="vertex order is fixed"):
+        with pytest.raises(TypeError):
             resolve_engine(graph, engine, relabel="bfs")
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             ExecutionContext(graph, backend=engine, relabel="bfs")
+        with pytest.raises(TypeError):
+            ExecutionContext(graph, relabel="bfs")
+        with pytest.raises(TypeError):
+            ExecutionContext(graph, storage="mmap")
 
     def test_relabel_survives_full_rebuild_refresh(self):
-        """A refresh that falls back to a full rebuild re-applies relabel."""
-        graph = gen.barabasi_albert_graph(24, 2, seed=5)
-        engine = NumpyEngine(graph, relabel="degree")
-        assert engine.csr.labels == relabel_order(graph, "degree")
+        """A refresh that falls back to a full rebuild keeps insertion order."""
+        graph = reinserted(gen.barabasi_albert_graph(24, 2, seed=5),
+                           "degree")
+        engine = NumpyEngine(graph)
+        assert engine.csr.labels == list(graph.vertices())
         # Removing a vertex makes index stability impossible, forcing the
         # delta rebuild onto its full from_graph fallback.
         victim = engine.csr.labels[-1]
         graph.remove_vertex(victim)
         engine.refresh(None)
-        assert engine.csr.labels == relabel_order(graph, "degree")
+        assert engine.csr.labels == list(graph.vertices())
         assert (_label_degrees(engine, 2)
                 == _label_degrees(DictEngine(graph), 2))
 
     def test_unknown_relabel_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             NumpyEngine(gen.cycle_graph(6), relabel="sorted")
 
     def test_dynamic_engine_on_numpy_backend(self):
         from repro.dynamic import DynamicKHCore
 
-        graph = gen.cycle_graph(8)
-        engine = DynamicKHCore(graph, h=2, backend="numpy", relabel="bfs")
+        graph = reinserted(gen.cycle_graph(8), "bfs")
+        engine = DynamicKHCore(graph, h=2, backend="numpy")
         try:
             assert engine.backend == "numpy"
             engine.insert_edge(0, 4)

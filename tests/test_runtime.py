@@ -264,3 +264,62 @@ class TestWorkerCount:
                               "--workers", "2"])
         assert exit_code == 0
         assert "workers: 2" in capsys.readouterr().err
+
+
+class TestSizeValidation:
+    """Partition and batch sizes below 1 are rejected, never clamped."""
+
+    @pytest.mark.parametrize("size", [0, -5])
+    @pytest.mark.parametrize("algorithm", ["auto", "h-BZ", "h-LB",
+                                           "h-LB+UB"])
+    def test_core_decomposition_rejects_partition_size(self, graph,
+                                                       algorithm, size):
+        # The check no longer depends on which algorithm "auto" picks.
+        with pytest.raises(ParameterError, match="partition_size"):
+            core_decomposition(graph, 2, algorithm=algorithm,
+                               partition_size=size)
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_dynamic_engine_rejects_partition_size(self, graph, size):
+        with pytest.raises(ParameterError, match="partition_size"):
+            DynamicKHCore(graph.copy(), h=2, partition_size=size)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_refresh_index_rejects_batch_size(self, graph, tmp_path, size):
+        from repro.index import build_index, refresh_index
+
+        path = str(tmp_path / "g.khidx")
+        build_index(graph, path, h_values=(2,))
+        with pytest.raises(ParameterError, match="batch_size"):
+            refresh_index(path, [("+", 0, 7)], batch_size=size)
+
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_cli_rejects_partition_size(self, capsys, size):
+        assert main(["--demo", "--h", "2", "--partition-size", size]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "partition_size" in err
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_cli_stream_rejects_batch_size(self, tmp_path, capsys, size):
+        updates = tmp_path / "u.txt"
+        updates.write_text("+ 0 1\n+ 1 2\n")
+        assert main(["stream", str(updates), "--h", "2",
+                     "--batch-size", size]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "batch_size" in err
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_cli_index_refresh_rejects_batch_size(self, tmp_path, capsys,
+                                                  size):
+        edges = tmp_path / "g.edges"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        db = tmp_path / "g.khidx"
+        assert main(["index", "build", str(edges), "--db", str(db),
+                     "--h-values", "2"]) == 0
+        updates = tmp_path / "u.txt"
+        updates.write_text("+ 0 3\n")
+        capsys.readouterr()
+        assert main(["index", "refresh", str(db), str(updates),
+                     "--batch-size", size]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "batch_size" in err

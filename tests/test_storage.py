@@ -163,9 +163,11 @@ class TestResolveStorage:
         assert resolve_storage("auto", DEFAULT_MMAP_AUTO_THRESHOLD) == "mmap"
 
     def test_auto_env_force(self, monkeypatch):
-        monkeypatch.setenv("KH_CORE_STORAGE", "mmap")
+        # The threshold alone forces either tier: 0 always spills, a huge
+        # value never does.
+        monkeypatch.setenv("KH_CORE_MMAP_THRESHOLD", "0")
         assert resolve_storage("auto", 0) == "mmap"
-        monkeypatch.setenv("KH_CORE_STORAGE", "ram")
+        monkeypatch.setenv("KH_CORE_MMAP_THRESHOLD", str(10 ** 13))
         assert resolve_storage("auto", 10 ** 12) == "ram"
 
     def test_env_threshold_override(self, monkeypatch):
@@ -286,8 +288,9 @@ class TestFrozenGraphView:
         assert frozen.degree_histogram() == degree_histogram(graph)
 
     def test_resolve_engine_rejects_relabel(self, view):
+        # The view's snapshot fixes the vertex order; there is no option.
         frozen, _ = view
-        with pytest.raises(ParameterError, match="relabel"):
+        with pytest.raises(TypeError):
             resolve_engine(frozen, backend="csr", relabel="degree")
 
     def test_execution_context_accepts_view(self, view):
@@ -300,24 +303,28 @@ class TestFrozenGraphView:
 
 
 class TestEngineStorageLifecycle:
-    def test_context_storage_mmap_parity(self, graph):
+    """Engine-built spills, forced by ``KH_CORE_MMAP_THRESHOLD=0``."""
+
+    def test_context_storage_mmap_parity(self, graph, monkeypatch):
         reference = core_decomposition(graph, h=2)
-        with ExecutionContext(graph, backend="csr",
-                              storage="mmap") as context:
+        monkeypatch.setenv("KH_CORE_MMAP_THRESHOLD", "0")
+        with ExecutionContext(graph, backend="csr") as context:
             report = core_decomposition_with_report(graph, 2,
                                                     context=context)
             assert context.engine.csr.storage_kind == "mmap"
         assert report.result.core_index == reference.core_index
 
-    def test_engine_close_releases_owned_storage(self, graph):
-        engine = CSREngine(graph, storage="mmap")
+    def test_engine_close_releases_owned_storage(self, graph, monkeypatch):
+        monkeypatch.setenv("KH_CORE_MMAP_THRESHOLD", "0")
+        engine = CSREngine(graph)
         storage = engine.csr.storage
         assert engine.csr.storage_kind == "mmap"
         engine.close()
         assert not storage._finalizer.alive
 
-    def test_refresh_keeps_storage_policy(self, graph):
-        engine = CSREngine(graph, storage="mmap")
+    def test_refresh_keeps_storage_policy(self, graph, monkeypatch):
+        monkeypatch.setenv("KH_CORE_MMAP_THRESHOLD", "0")
+        engine = CSREngine(graph)
         try:
             old_storage = engine.csr.storage
             graph.add_edge("fresh-a", "fresh-b")
@@ -388,11 +395,12 @@ class TestFileCSRExport:
         assert os.path.exists(path)  # only the alive segment is unlinked
         mm.close()
 
-    def test_process_executor_over_mmap_storage(self, graph):
+    def test_process_executor_over_mmap_storage(self, graph, monkeypatch):
         reference = core_decomposition(graph, h=2)
-        with ExecutionContext(graph, backend="csr", storage="mmap",
-                              executor="process",
+        monkeypatch.setenv("KH_CORE_MMAP_THRESHOLD", "0")
+        with ExecutionContext(graph, backend="csr", executor="process",
                               num_workers=2) as context:
+            assert context.engine.csr.storage_kind == "mmap"
             report = core_decomposition_with_report(graph, 2,
                                                     context=context)
         assert report.result.core_index == reference.core_index
