@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser of the (default) decompose command."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
+        allow_abbrev=False,
         description="Distance-generalized ((k,h)-core) decomposition of an edge list.",
         epilog="Use 'python -m repro stream --help' for the streaming "
                "replay mode, 'python -m repro serve --help' for the "
@@ -121,6 +122,7 @@ def build_stream_parser() -> argparse.ArgumentParser:
     """Build the argument parser of the ``stream`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="python -m repro stream",
+        allow_abbrev=False,
         description="Replay an edge-update stream through the dynamic "
                     "(k,h)-core maintenance engine.",
     )
@@ -152,6 +154,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     """Build the argument parser of the ``serve`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
+        allow_abbrev=False,
         description="Serve (k,h)-core queries over HTTP/JSON from a "
                     "resident dynamic maintenance engine.",
     )
@@ -210,6 +213,7 @@ def build_load_parser() -> argparse.ArgumentParser:
     """Build the argument parser of the ``load`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="python -m repro load",
+        allow_abbrev=False,
         description="Stream an edge-list file into an on-disk CSR block "
                     "file (.khcsr) with bounded memory, ready for "
                     "memory-mapped decomposition.",
@@ -279,6 +283,7 @@ def build_doctor_parser() -> argparse.ArgumentParser:
     """Build the argument parser of the ``doctor`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="python -m repro doctor",
+        allow_abbrev=False,
         description="Reclaim crash debris: orphaned shared-memory "
                     "segments, .khcsr block files stuck in the building "
                     "state, and interrupted index builds.",
@@ -579,6 +584,7 @@ def build_index_parser() -> argparse.ArgumentParser:
     """Build the argument parser of the ``index`` subcommand family."""
     parser = argparse.ArgumentParser(
         prog="python -m repro index",
+        allow_abbrev=False,
         description="Manage a persistent (k,h)-core spectrum index: "
                     "precompute cores for an h-range into an SQLite store, "
                     "query it without recomputation, and keep it fresh "
@@ -587,7 +593,8 @@ def build_index_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     build = commands.add_parser(
-        "build", help="precompute the core spectrum of a graph into a store")
+        "build", allow_abbrev=False,
+        help="precompute the core spectrum of a graph into a store")
     build.add_argument("input", nargs="?",
                        help="edge-list file with the graph to index")
     build.add_argument("--demo", action="store_true",
@@ -605,7 +612,8 @@ def build_index_parser() -> argparse.ArgumentParser:
                             "index metadata (default: the input path)")
 
     query = commands.add_parser(
-        "query", help="answer a core query from the index (JSON on stdout)")
+        "query", allow_abbrev=False,
+        help="answer a core query from the index (JSON on stdout)")
     query.add_argument("db", help="index file built with 'index build'")
     query.add_argument("what",
                        choices=("core-number", "spectrum", "threshold",
@@ -627,8 +635,9 @@ def build_index_parser() -> argparse.ArgumentParser:
                             "the current epoch)")
 
     refresh = commands.add_parser(
-        "refresh", help="apply an edge-update stream to the index "
-                        "incrementally")
+        "refresh", allow_abbrev=False,
+        help="apply an edge-update stream to the index "
+             "incrementally")
     refresh.add_argument("db", help="index file built with 'index build'")
     refresh.add_argument("updates",
                          help="update-stream file ('+ u v' / '- u v' per "
@@ -650,7 +659,8 @@ def build_index_parser() -> argparse.ArgumentParser:
                          help="print one line per refreshed batch")
 
     stats = commands.add_parser(
-        "stats", help="print index metadata and row counts as JSON")
+        "stats", allow_abbrev=False,
+        help="print index metadata and row counts as JSON")
     stats.add_argument("db", help="index file built with 'index build'")
     stats.add_argument("--verify", action="store_true",
                        help="also run the deep row-scan checksum "
@@ -662,16 +672,19 @@ def build_datasets_parser() -> argparse.ArgumentParser:
     """Build the argument parser of the ``datasets`` subcommand family."""
     parser = argparse.ArgumentParser(
         prog="python -m repro datasets",
+        allow_abbrev=False,
         description="List the synthetic stand-in datasets, export them as "
                     "deterministic edge-list files, and fetch the paper's "
                     "real public graphs into a local cache.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("list", help="print the registered dataset names")
+    commands.add_parser("list", allow_abbrev=False,
+                        help="print the registered dataset names")
 
     export = commands.add_parser(
-        "export", help="write a dataset as a byte-stable sorted edge list")
+        "export", allow_abbrev=False,
+        help="write a dataset as a byte-stable sorted edge list")
     export.add_argument("name", help="dataset name (see 'datasets list')")
     export.add_argument("output", help="edge-list file to write")
     export.add_argument("--scale", default="small",
@@ -681,8 +694,9 @@ def build_datasets_parser() -> argparse.ArgumentParser:
                         help="generator seed (default: 0)")
 
     fetch = commands.add_parser(
-        "fetch", help="download (once) a real public dataset and print the "
-                      "cached edge-list path")
+        "fetch", allow_abbrev=False,
+        help="download (once) a real public dataset and print the "
+             "cached edge-list path")
     fetch.add_argument("name",
                        help="real dataset name (see 'datasets list')")
     fetch.add_argument("--cache-dir", default=None,

@@ -14,6 +14,13 @@
 * ``ImproveLB`` (Algorithm 6): within a candidate partition ``V[k]``, the
   minimum h-degree is itself a lower bound for every member (Property 3), and
   vertices that certainly cannot reach core index ``k`` are cleaned away.
+  h-LB+UB visits the nested sets ``V[kmin]`` top-down, so a candidate is
+  either *settled* (a higher partition already fixed its core index) or
+  *open*.  Only open vertices are BFS sources of the bulk h-degree pass;
+  settled ones stay in the alive set as support.  This is exact: a settled
+  vertex's core lies inside ``V[kmin]``, so it is never cleaned, and the
+  minimum h-degree of ``G[V[kmin]]`` is at most ``kmax`` and so comes from
+  an open vertex.
 
 Each bound exists in two layers: an ``engine_*`` function written against the
 backend-engine API (handle space; used by h-LB and h-LB+UB so the bounds run
@@ -25,7 +32,7 @@ labels, so the wrappers delegate without any translation cost.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import Container, Dict, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.errors import InvalidDistanceThresholdError
 from repro.graph.graph import Graph, Vertex
@@ -241,22 +248,43 @@ def engine_improve_lb(engine: Engine, h: int, candidate: Iterable[Handle],
                       k: int,
                       counters: Counters = NULL_COUNTERS,
                       num_workers: int = 1,
-                      executor: str = "thread"):
+                      executor: str = "thread",
+                      settled: Container[Handle] = ()):
     """Clean ``candidate`` = V[k]; return ``(alive set, min h-degree)``.
 
     The returned alive set uses the engine's native alive type (a Python
     ``set`` for the dict engine, an :class:`~repro.core.backends.AliveMask`
     for CSR) so the caller can hand it straight to :func:`core_decomp`.
+
+    ``settled`` holds the handles whose core index is already fixed (h-LB+UB
+    passes its cross-partition core map); every other candidate is *open*.
+    Only open vertices are measured, and only they are decremented and
+    cleaned; settled vertices stay alive as BFS support.  When ``candidate``
+    is the upper-bound set ``V[k]`` of a partition ``[k, kmax]`` and
+    ``settled`` its vertices with core index above ``kmax`` (what h-LB+UB
+    passes), the result equals the full pass:
+
+    * a settled vertex's core lies inside ``V[k]``, so its estimated
+      h-degree never drops below ``k`` and it is never cleaned;
+    * the minimum h-degree of ``G[V[k]]`` is at most ``kmax`` while every
+      settled vertex has h-degree above ``kmax``, so the minimum over the
+      open vertices is the minimum over all of ``V[k]``.
+
+    When no candidate is open nothing can be cleaned and no BFS runs; the
+    minimum is then reported as 0.
     """
     _validate_h(h)
     alive = engine.alive_subset(candidate)
-    if not alive:
+    targets = [v for v in alive if v not in settled]
+    if not targets:
         return alive, 0
-    degrees = engine.bulk_h_degrees(h, targets=alive, alive=alive,
+    degrees = engine.bulk_h_degrees(h, targets=targets, alive=alive,
                                     num_workers=num_workers,
                                     counters=counters, executor=executor)
     min_degree = min(degrees.values())
-    pending = {v for v, d in degrees.items() if d < k}
+    # Seeded in target order, not in the pass's merge order (which follows
+    # the executor's chunking), so the cleanup is executor-independent.
+    pending = {v for v in targets if degrees[v] < k}
     while pending:
         vertex = pending.pop()
         if vertex not in alive:
@@ -264,7 +292,8 @@ def engine_improve_lb(engine: Engine, h: int, candidate: Iterable[Handle],
         neighborhood = engine.h_neighborhood(vertex, h, alive, counters)
         alive.discard(vertex)
         for u in neighborhood:
-            if u in alive:
+            # Settled vertices have no degree entry: they are never cleaned.
+            if u in alive and u in degrees:
                 degrees[u] -= 1
                 counters.record_decrement()
                 if degrees[u] < k:

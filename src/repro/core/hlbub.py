@@ -8,10 +8,15 @@ top-down, so the expensive high-core vertices are peeled early and never
 touched again, and each partition is first cleaned and re-bounded by
 ``ImproveLB`` (Algorithm 6, bound LB3).
 
-Each partition's peeling drives the shared kernel
+The cross-partition core-index map persists for the whole run (a flat array
+on the CSR engine).  A vertex with an entry is *settled*: a higher partition
+fixed its core index, so each later partition's ``ImproveLB`` keeps it only
+as BFS support and runs its bulk h-degree pass over the *open* candidates
+alone (exact; see :func:`repro.core.bounds.engine_improve_lb`).  A partition
+whose cleaned set holds no open vertex cannot assign anything and is
+skipped; every other one drives the shared peeling kernel
 (:func:`repro.core.peeling.core_decomp`) through a fresh
-:class:`~repro.runtime.peel.PeelState`, while the cross-partition core-index
-map persists for the whole run (a flat array on the CSR engine).
+:class:`~repro.runtime.peel.PeelState`.
 """
 
 from __future__ import annotations
@@ -167,8 +172,9 @@ def h_lb_ub(graph: Graph, h: int,
             cleaned, min_degree = engine_improve_lb(engine, h, candidate,
                                                     kmin, counters=sink,
                                                     num_workers=ctx.num_workers,
-                                                    executor=ctx.executor)
-            if not cleaned:
+                                                    executor=ctx.executor,
+                                                    settled=core_index)
+            if all(v in core_index for v in cleaned):
                 continue
             for v in cleaned:
                 lb3[v] = max(lb3[v], lb2[v], min_degree)

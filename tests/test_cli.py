@@ -25,6 +25,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["graph.txt", "--algorithm", "magic"])
 
+    @pytest.mark.parametrize("flags", [["--storage", "mmap"], ["--part", "3"]])
+    def test_abbreviated_long_option_rejected(self, edge_list_file, capsys,
+                                              flags):
+        # A prefix of a long option is unknown, not the option it
+        # abbreviates: "--storage" must not parse as "--storage-dir", nor
+        # "--part" as "--partition-size".
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(edge_list_file), *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+    def test_no_parser_matches_prefixes(self):
+        import argparse
+
+        from repro import cli
+
+        parsers = [getattr(cli, name)() for name in dir(cli)
+                   if name.startswith("build_") and name.endswith("parser")]
+        subparsers = [sub for parser in parsers for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)
+                      for sub in action.choices.values()]
+        assert parsers and subparsers
+        assert all(parser.allow_abbrev is False
+                   for parser in parsers + subparsers)
+
 
 class TestMain:
     def test_prints_core_indices(self, edge_list_file, capsys):
