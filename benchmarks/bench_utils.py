@@ -44,7 +44,9 @@ def run_once(benchmark, function, *args, **kwargs):
 
 
 #: Environment variable overriding where :func:`write_bench_json` puts its
-#: artifact (CI points it at the workspace root so the upload step finds it).
+#: artifact.  A pytest session under ``benchmarks/`` sets it to a temp dir
+#: when it is unset (see ``conftest.py``); CI points it at the directory its
+#: upload step reads.
 BENCH_JSON_DIR_ENV_VAR = "KH_CORE_BENCH_JSON_DIR"
 
 
@@ -56,7 +58,8 @@ def write_bench_json(filename: str, payload: Dict[str, object],
     interpreter, platform, CPU count, quick-mode flag) so a perf trajectory
     assembled from successive artifacts can normalize across environments.
     The directory defaults to the current working directory, overridable via
-    :data:`BENCH_JSON_DIR_ENV_VAR`.
+    :data:`BENCH_JSON_DIR_ENV_VAR` (which the benchmark suite's
+    ``conftest.py`` always sets).
 
     Repeated calls for the same file *merge* top-level keys instead of
     overwriting, so several benchmark tests can contribute sections to one

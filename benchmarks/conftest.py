@@ -10,10 +10,30 @@ h-LB+UB) is measured meaningfully.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from bench_utils import BENCH_JSON_DIR_ENV_VAR
 from repro.datasets import load_dataset
 from repro.experiments.common import ExperimentConfig
+
+
+@pytest.fixture(scope="session", autouse=True)
+def bench_json_dir(tmp_path_factory):
+    """Write ``BENCH_*.json`` artifacts to a session temp dir unless told.
+
+    Without this every test run would rewrite the tracked artifacts in the
+    working directory.  An explicit ``KH_CORE_BENCH_JSON_DIR`` wins.
+    """
+    if os.environ.get(BENCH_JSON_DIR_ENV_VAR):
+        yield os.environ[BENCH_JSON_DIR_ENV_VAR]
+        return
+    patch = pytest.MonkeyPatch()
+    directory = str(tmp_path_factory.mktemp("bench-json"))
+    patch.setenv(BENCH_JSON_DIR_ENV_VAR, directory)
+    yield directory
+    patch.undo()
 
 
 @pytest.fixture(scope="session")

@@ -65,7 +65,7 @@ import time
 from typing import Hashable, Optional, Sequence
 
 from repro.core import core_decomposition_with_report
-from repro.core.backends import resolved_backend_name
+from repro.core.backends import BACKENDS, resolved_backend_name
 from repro.dynamic import DynamicKHCore, read_update_stream
 from repro.errors import ParameterError, ReproError
 from repro.graph import Graph, read_edge_list
@@ -338,16 +338,13 @@ def doctor_main(argv: Sequence[str]) -> int:
 
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default="auto",
-                        choices=("auto", "dict", "csr", "numpy", "native"),
+    parser.add_argument("--backend", default="auto", choices=BACKENDS,
                         help="graph backend for the generalized algorithms: "
                              "dict (reference), csr (flat-array, faster), "
-                             "numpy (vectorized kernels; needs the optional "
-                             "NumPy extra), native (compiled GIL-releasing "
-                             "kernels; needs the optional Numba extra), or "
-                             "auto (the fastest installed engine for large "
-                             "integer-vertex graphs, csr below the size "
-                             "thresholds)")
+                             "numpy (csr with a NumPy bulk h-degree kernel; "
+                             "needs the optional NumPy extra), or auto "
+                             "(numpy for large integer-vertex graphs, csr "
+                             "below the size threshold)")
 
 
 def _load_graph(args: argparse.Namespace, mutable: bool = False):
@@ -649,8 +646,7 @@ def build_index_parser() -> argparse.ArgumentParser:
                          help="dirty-row fraction of the store above which "
                               "a batch triggers a full rebuild "
                               "(default: 0.5)")
-    refresh.add_argument("--backend", default="auto",
-                         choices=("auto", "dict", "csr", "numpy", "native"),
+    refresh.add_argument("--backend", default="auto", choices=BACKENDS,
                          help="graph backend for the maintenance engines")
     refresh.add_argument("--fallback-ratio", type=float, default=None,
                          help="per-engine dirty-region fraction above which "

@@ -17,9 +17,7 @@ from repro.core.backends import (
     AliveMask,
     CSREngine,
     DictEngine,
-    NativeEngine,
     NumpyEngine,
-    native_available,
     numpy_available,
     resolve_engine,
 )
@@ -52,9 +50,7 @@ __all__ = [
     "AliveMask",
     "CSREngine",
     "DictEngine",
-    "NativeEngine",
     "NumpyEngine",
-    "native_available",
     "numpy_available",
     "resolve_engine",
     "CoreDecomposition",

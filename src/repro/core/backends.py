@@ -3,7 +3,7 @@
 The (k,h)-core algorithms only touch a graph through a handful of primitives
 — h-degree, h-neighborhood, h-neighbors-with-distance, bulk h-degrees, and an
 "alive" set restricting traversals to the surviving vertices.  This module
-packages those primitives behind two interchangeable *engines*:
+packages those primitives behind three interchangeable *engines*:
 
 * :class:`DictEngine` — the reference implementation.  Handles are the
   original vertex objects, the alive set is a plain Python ``set``, and every
@@ -17,10 +17,16 @@ packages those primitives behind two interchangeable *engines*:
   graph's insertion order, the ``"auto"`` storage rule picks RAM lists or
   an mmap block (``KH_CORE_MMAP_THRESHOLD``), and :meth:`CSREngine.refresh`
   delta-rebuilds a RAM snapshot and fully rebuilds a spilled one.
+* :class:`NumpyEngine` — the CSR engine with a NumPy bulk h-degree kernel
+  (:class:`~repro.traversal.numpy_bfs.NumpyBulk`).  Everything per-vertex
+  still runs on ``ArrayBFS``; only the many-sources bulk pass changes.
+
+The ladder is dict → csr → numpy; ``dict`` is also the oracle the parity
+tests compare against.
 
 Algorithms are written once against the engine API (see
 :mod:`repro.core.hbz`, :mod:`repro.core.peeling`, :mod:`repro.core.bounds`),
-which is what guarantees both backends produce identical core numbers.
+which is what guarantees every backend produces identical core numbers.
 
 The bulk h-degree pass additionally selects an *executor* (``"serial"``,
 ``"thread"`` or ``"process"`` — see :data:`repro.core.parallel.EXECUTORS`).
@@ -54,12 +60,7 @@ from repro.errors import (
     ParameterError,
     WorkerPoolError,
 )
-from repro.graph.csr import (
-    CSRGraph,
-    csr_suitable,
-    resolve_native_threshold,
-    resolve_numpy_threshold,
-)
+from repro.graph.csr import CSRGraph, csr_suitable, resolve_numpy_threshold
 from repro.graph.graph import Graph, Vertex
 from repro.graph.views import FrozenGraphView
 from repro.instrumentation import Counters, NULL_COUNTERS
@@ -69,7 +70,7 @@ from repro.traversal.bfs import h_bounded_neighbors
 from repro.traversal.hneighborhood import h_degree as _dict_h_degree
 
 #: Backend names accepted by the decomposition entry points.
-BACKENDS = ("auto", "dict", "csr", "numpy", "native")
+BACKENDS = ("auto", "dict", "csr", "numpy")
 
 
 def numpy_available() -> bool:
@@ -89,38 +90,6 @@ def numpy_available() -> bool:
     if os.environ.get("KH_CORE_DISABLE_NUMPY", "") not in ("", "0"):
         return False
     return importlib.util.find_spec("numpy") is not None
-
-
-def native_available() -> bool:
-    """True when the compiled ``native`` engine can run.
-
-    Gate for the ``native`` engine, mirroring :func:`numpy_available`:
-    ``backend="auto"`` consults this (plus
-    :func:`~repro.graph.csr.resolve_native_threshold`) before preferring the
-    compiled engine, and an explicit ``backend="native"`` raises a
-    :class:`~repro.errors.ParameterError` when it returns False.
-
-    The engine needs both optional extras: NumPy for the arrays and Numba
-    for the JIT (``pip install 'kh-core-repro[native]'``).  Two levers:
-
-    * ``KH_CORE_DISABLE_NATIVE=1`` forces False even with Numba installed —
-      the operator kill switch for broken Numba/LLVM builds (it also
-      respects ``KH_CORE_DISABLE_NUMPY``, since the kernels run on
-      ndarrays).
-    * ``KH_CORE_NATIVE_ALLOW_INTERPRETED=1`` allows True with Numba absent
-      (NumPy still required): the kernels then run as interpreted Python —
-      bit-identical results, none of the speed.  A test/debug lever for
-      exercising the native codepaths on machines without a compiler; never
-      set it in production.
-    """
-    if os.environ.get("KH_CORE_DISABLE_NATIVE", "") not in ("", "0"):
-        return False
-    if not numpy_available():
-        return False
-    if importlib.util.find_spec("numba") is not None:
-        return True
-    return os.environ.get("KH_CORE_NATIVE_ALLOW_INTERPRETED", "") not in (
-        "", "0")
 
 
 class DictEngine:
@@ -302,29 +271,17 @@ class CSREngine:
         # supplied snapshot's mmap block belongs to whoever built it.
         self._owns_csr = csr is None
         self.csr = csr if csr is not None else self._build_csr()
-        self._scratch = self._make_scratch()
+        self._scratch = ArrayBFS(self.csr)
         self.built_version = graph.version
 
-    def _make_scratch(self):
-        """Fresh traversal scratch for the current snapshot.
-
-        The single point a subclass overrides to swap the traversal kernel
-        (the :class:`NumpyEngine` plugs its vectorized scratch in here);
-        called at construction and after every :meth:`refresh`.
-        """
-        return ArrayBFS(self.csr)
-
     @property
-    def scratch(self):
+    def scratch(self) -> ArrayBFS:
         """The engine's reusable BFS scratch (current for this snapshot).
 
-        An :class:`~repro.traversal.array_bfs.ArrayBFS` here, its
-        structural twin :class:`~repro.traversal.numpy_bfs.NumpyBFS` on the
-        vectorized subclass.  Exposed for the array-native peel kernels,
-        which read the scratch's ``order`` / ``level_ends`` buffers directly
-        instead of materializing per-neighbor lists.  Not thread-safe —
-        same caveat as every other single-scratch traversal primitive on
-        this engine.
+        Exposed for the array-native peel kernels, which read the scratch's
+        ``order`` / ``level_ends`` buffers directly instead of
+        materializing per-neighbor lists.  Not thread-safe — same caveat as
+        every other single-scratch traversal primitive on this engine.
         """
         return self._scratch
 
@@ -362,7 +319,7 @@ class CSREngine:
         if self._owns_csr and previous is not self.csr:
             previous.close()
         self._owns_csr = True
-        self._scratch = self._make_scratch()
+        self._scratch = ArrayBFS(self.csr)
         self.built_version = self.graph.version
         if self._shm_pool is not None:
             # Version-stamped re-export: the worker pool survives the
@@ -487,8 +444,8 @@ class CSREngine:
         The dispatch (executor validation, target defaulting,
         degree-weighted process fan-out) lives here exactly once; the
         serial and per-thread *kernels* are the :meth:`_bulk_serial` /
-        :meth:`_bulk_worker_batch` hooks the vectorized subclasses
-        override, and ``engine_kind=self.name`` rides the shared-memory task
+        :meth:`_bulk_worker_batch` hooks :class:`NumpyEngine` overrides,
+        and ``engine_kind=self.name`` rides the shared-memory task
         descriptors so workers run the matching kernel.
         """
         _validate_executor(executor)
@@ -563,17 +520,15 @@ class CSREngine:
 
 
 class NumpyEngine(CSREngine):
-    """Vectorized engine: the CSR snapshot traversed by NumPy kernels.
+    """The CSR engine with a NumPy bulk h-degree kernel.
 
-    Same handle space, alive masks, snapshot/refresh lifecycle,
-    bulk-dispatch logic and shared-memory process path as
-    :class:`CSREngine` — the subclass overrides only the kernel hooks: the
-    per-vertex BFS scratch becomes a
-    :class:`~repro.traversal.numpy_bfs.NumpyBFS` (level-synchronous
-    frontier gathers over flat ndarrays), and the serial/thread bulk leaves
-    run its many-sources kernels, expanding whole blocks of BFS sources per
-    NumPy dispatch.  Traversal orders, removal orders and counter totals
-    are identical to the CSR engine; only the constant factors differ.
+    Same handle space, alive masks, snapshot/refresh lifecycle, per-vertex
+    ``ArrayBFS`` scratch, peel and bounds as :class:`CSREngine`.  Only the
+    serial and thread bulk kernels differ: they run
+    :class:`~repro.traversal.numpy_bfs.NumpyBulk`, which expands whole
+    blocks of BFS sources per NumPy dispatch.  The process path's workers
+    run the same kernel over ``np.frombuffer`` views of the shared block.
+    Results and counter totals are identical to the CSR engine.
 
     Requires the optional NumPy dependency (``pip install
     kh-core-repro[numpy]``); :func:`resolve_engine` raises a clear error
@@ -582,82 +537,50 @@ class NumpyEngine(CSREngine):
 
     name = "numpy"
 
-    __slots__ = ()
+    __slots__ = ("_bulk",)
 
-    def _make_scratch(self):
-        from repro.traversal.numpy_bfs import NumpyBFS
+    def __init__(self, graph: Graph, csr: Optional[CSRGraph] = None,
+                 storage_dir: Optional[str] = None) -> None:
+        super().__init__(graph, csr=csr, storage_dir=storage_dir)
+        # Built (and NumPy imported) eagerly, never on the first bulk pass:
+        # process-pool workers forked later inherit the imported module
+        # instead of each importing NumPy themselves.
+        from repro.traversal.numpy_bfs import NumpyBulk
 
-        return NumpyBFS(self.csr)
+        self._bulk = NumpyBulk(self.csr)
+
+    def refresh(self, touched=None) -> None:
+        """:meth:`CSREngine.refresh`, plus a bulk kernel for a new snapshot."""
+        stale = self.built_version != self.graph.version
+        super().refresh(touched)
+        if stale:
+            from repro.traversal.numpy_bfs import NumpyBulk
+
+            self._bulk = NumpyBulk(self.csr)
 
     def _bulk_serial(self, indices: List[int], h: int,
                      alive: Optional[AliveMask],
                      counters: Counters) -> Dict[int, int]:
-        """Serial bulk kernel: the scratch's many-sources ``bulk`` call.
+        """Serial bulk kernel: one many-sources ``bulk`` call.
 
-        Whole blocks of sources per NumPy dispatch here, all sources in one
-        compiled, GIL-free call on :class:`NativeEngine`.  Result dicts
-        preserve target order, so downstream bucket fills see the exact
-        sequence the CSR engine produces.
+        Result dicts preserve target order, so downstream bucket fills see
+        the exact sequence the CSR engine produces.
         """
-        degrees = self._scratch.bulk(indices, h, alive, counters)
+        degrees = self._bulk.bulk(indices, h, alive, counters)
         counters.count_hdegrees(len(indices))
         return dict(zip(indices, degrees.tolist()))
 
     def _bulk_worker_batch(self, batch: List[int], h: int,
                            alive: Optional[AliveMask],
                            local: Counters) -> Dict[int, int]:
-        """Thread-pool bulk kernel: a private cloned scratch per batch.
+        """Thread-pool bulk kernel: a private cloned kernel per batch.
 
-        The scratch's stamp/queue buffers are not thread-safe; the CSR
-        ndarrays themselves are shared read-only.  The native kernel drops
-        the GIL for the whole batch, which is what makes this executor
-        scale on :class:`NativeEngine`.
+        The kernel's stamp buffers are not thread-safe; the CSR ndarrays
+        themselves are shared read-only.
         """
-        scratch = self._scratch.clone()
-        degrees = scratch.bulk(batch, h, alive, local)
+        degrees = self._bulk.clone().bulk(batch, h, alive, local)
         local.count_hdegrees(len(batch))
         return dict(zip(batch, degrees.tolist()))
-
-
-class NativeEngine(NumpyEngine):
-    """Compiled engine: the CSR snapshot traversed by Numba-JIT kernels.
-
-    Same handle space, alive masks, snapshot/refresh lifecycle,
-    bulk-dispatch logic, shared-memory process path and many-sources bulk
-    hooks as :class:`NumpyEngine`; only the scratch differs:
-    :class:`~repro.traversal.native_bfs.NativeBFS`, whose h-bounded level
-    loop runs as a single ``@njit(nogil=True, cache=True)`` call.  Results
-    (traversal orders, removal orders, counter totals) are bit-identical to
-    every other engine; what changes is the constant factor — the whole
-    BFS compiles to machine code — and the concurrency story: because the
-    kernels release the GIL, ``executor="thread"`` bulk passes fan
-    :func:`~repro.core.parallel.chunk_plan` batches out over threads that
-    genuinely run in parallel on the *shared* snapshot, with none of the
-    process pool's export cost.
-
-    Requires the optional Numba extra (``pip install
-    'kh-core-repro[native]'``); :func:`resolve_engine` raises a clear error
-    when it is missing and ``backend="auto"`` simply never selects it.
-    Construction pre-compiles (or cache-loads) the kernels unless
-    ``KH_CORE_NATIVE_WARMUP=0``, so first-traversal timings are
-    steady-state.
-    """
-
-    name = "native"
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        if os.environ.get("KH_CORE_NATIVE_WARMUP", "1") not in ("", "0"):
-            from repro.traversal.native_bfs import warmup_kernels
-
-            warmup_kernels()
-        super().__init__(*args, **kwargs)
-
-    def _make_scratch(self):
-        from repro.traversal.native_bfs import NativeBFS
-
-        return NativeBFS(self.csr)
 
 
 Engine = Union[DictEngine, CSREngine]
@@ -674,13 +597,11 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
     ``backend`` may be one of the names in :data:`BACKENDS` or an
     already-constructed engine (useful to amortize a CSR build across
     several decompositions of the same graph).  ``"auto"`` climbs the
-    engine ladder as far as the graph and the installed extras allow: the
-    compiled native engine for integer-friendly graphs clearing the native
-    size threshold (when Numba is importable), the vectorized NumPy engine
-    above the NumPy threshold (when NumPy is importable), the interpreted
-    CSR engine for smaller integer-friendly graphs, and the dict reference
-    engine otherwise (``KH_CORE_NUMPY_THRESHOLD`` /
-    ``KH_CORE_NATIVE_THRESHOLD`` gate the step-ups).
+    engine ladder dict → csr → numpy as far as the graph and the installed
+    extras allow: the NumPy engine for integer-friendly graphs above the
+    NumPy threshold (when NumPy is importable; ``KH_CORE_NUMPY_THRESHOLD``
+    gates the step-up), the CSR engine for smaller integer-friendly
+    graphs, and the dict reference engine otherwise.
 
     A CSR-family engine builds its own snapshot in the graph's insertion
     order and picks the storage tier itself: RAM lists, or an mmap block
@@ -730,20 +651,6 @@ def resolve_engine(graph: GraphLike, backend: Union[str, Engine] = "dict",
                 "'dict' engines run without it"
             )
         return NumpyEngine(graph, csr=frozen_csr, storage_dir=storage_dir)
-    if name == "native":
-        if not native_available():
-            if os.environ.get("KH_CORE_DISABLE_NATIVE", "") not in ("", "0"):
-                raise ParameterError(
-                    "backend='native' is disabled by KH_CORE_DISABLE_NATIVE "
-                    "in this environment; unset it (or use the 'numpy' / "
-                    "'csr' / 'dict' engines)"
-                )
-            raise ParameterError(
-                "backend='native' requires the optional Numba dependency "
-                "(pip install 'kh-core-repro[native]'); the 'numpy', 'csr' "
-                "and 'dict' engines run without it"
-            )
-        return NativeEngine(graph, csr=frozen_csr, storage_dir=storage_dir)
     return CSREngine(graph, csr=frozen_csr, storage_dir=storage_dir)
 
 
@@ -752,29 +659,18 @@ def resolved_backend_name(graph: GraphLike, backend: Union[str, Engine]) -> str:
 
     Cheap (no engine is built): used by the CLI to surface which backend an
     ``"auto"`` request actually selected.  The ``"auto"`` ladder: dict for
-    graphs that are not integer-friendly, then
-    native when Numba is importable and the graph clears the native size
-    threshold, then numpy when NumPy is importable and the graph clears
-    the NumPy size threshold, csr otherwise.  A frozen CSR view skips the
+    graphs that are not integer-friendly, then numpy when NumPy is
+    importable and the graph clears the NumPy size threshold, csr
+    otherwise.  A frozen CSR view skips the
     suitability probe — its arrays already exist, so ``"auto"`` never
     falls back to dict for it.
     """
     if isinstance(backend, (DictEngine, CSREngine)):
         return backend.name
     if backend == "auto":
-        if isinstance(graph, FrozenGraphView):
-            if (native_available()
-                    and graph.num_vertices >= resolve_native_threshold()):
-                return "native"
-            if (numpy_available()
-                    and graph.num_vertices >= resolve_numpy_threshold()):
-                return "numpy"
-            return "csr"
-        if not csr_suitable(graph):
+        # A frozen view's arrays already exist, so it skips the dict rung.
+        if not isinstance(graph, FrozenGraphView) and not csr_suitable(graph):
             return "dict"
-        if (native_available()
-                and graph.num_vertices >= resolve_native_threshold()):
-            return "native"
         if (numpy_available()
                 and graph.num_vertices >= resolve_numpy_threshold()):
             return "numpy"

@@ -85,11 +85,10 @@ class DynamicKHCore:
     h:
         Distance threshold (``h >= 1``).
     backend:
-        ``"dict"``, ``"csr"``, ``"numpy"``, ``"native"`` or ``"auto"`` —
-        resolved once at construction and kept for the engine's lifetime.
-        The CSR-family backends (``csr`` plus the vectorized ``numpy`` and
-        compiled ``native`` engines) refresh their snapshot after each
-        batch: a RAM snapshot is delta-rebuilt (touched rows only), a
+        ``"dict"``, ``"csr"``, ``"numpy"`` or ``"auto"`` — resolved once at
+        construction and kept for the engine's lifetime.  The CSR-family
+        backends (``csr``, and ``numpy``: the CSR engine with a NumPy bulk
+        h-degree kernel) refresh their snapshot after each batch: a RAM snapshot is delta-rebuilt (touched rows only), a
         snapshot the engine spilled to an mmap block
         (``KH_CORE_MMAP_THRESHOLD``) is rebuilt in full and stays spilled.
         The dict backend reads the live graph.
@@ -165,8 +164,7 @@ class DynamicKHCore:
         self.counters = counters if counters is not None else NULL_COUNTERS
         self.stats = DynamicStats()
 
-        #: Backend name fixed at construction
-        #: ("dict", "csr", "numpy" or "native").
+        #: Backend name fixed at construction ("dict", "csr" or "numpy").
         self.backend = resolved_backend_name(self.graph, backend)
         self.executor = executor
         #: The execution context owns the peeling engine (and any worker

@@ -29,12 +29,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import h_lb_ub
-from repro.core.backends import (
-    CSREngine,
-    native_available,
-    numpy_available,
-    resolve_engine,
-)
+from repro.core.backends import CSREngine, numpy_available, resolve_engine
 from repro.datasets import load_dataset
 from repro.experiments.common import ExperimentConfig, format_table
 from repro.graph.sampling import snowball_sample
@@ -111,16 +106,13 @@ def run_executor_scaling(config: Optional[ExperimentConfig] = None
     sample = snowball_sample(base_graph, min(size, base_graph.num_vertices),
                              seed=config.seed)
 
-    # Engine dimension: the interpreted CSR engine always, the vectorized
-    # NumPy and compiled native engines when their optional dependencies
-    # are importable.  Every row's speedup is relative to the *CSR serial*
-    # pass, so the engine gain and the executor gain read off the same
-    # column.
+    # Engine dimension: the CSR engine always, the NumPy engine (its NumPy
+    # bulk kernel) when NumPy is importable.  Every row's speedup is
+    # relative to the *CSR serial* pass, so the engine gain and the
+    # executor gain read off the same column.
     engines = ["csr"]
     if numpy_available():
         engines.append("numpy")
-    if native_available():
-        engines.append("native")
 
     serial_engine = CSREngine(sample)
     serial_seconds = _bulk_pass_seconds(serial_engine, h, "serial", 1,

@@ -50,17 +50,6 @@ DEFAULT_NUMPY_AUTO_THRESHOLD = 512
 #: Environment variable overriding :data:`DEFAULT_NUMPY_AUTO_THRESHOLD`.
 NUMPY_THRESHOLD_ENV_VAR = "KH_CORE_NUMPY_THRESHOLD"
 
-#: Minimum vertex count for ``backend="auto"`` to step up from the NumPy
-#: engine to the compiled native engine (when Numba is importable).  The
-#: compiled kernels beat every interpreter at any size, but on tiny graphs
-#: the whole decomposition is microseconds either way and the first-call
-#: kernel-cache lookup is not worth scheduling; above this size the
-#: frontier-bound workloads the NumPy engine leaves on the table dominate.
-DEFAULT_NATIVE_AUTO_THRESHOLD = 2048
-
-#: Environment variable overriding :data:`DEFAULT_NATIVE_AUTO_THRESHOLD`.
-NATIVE_THRESHOLD_ENV_VAR = "KH_CORE_NATIVE_THRESHOLD"
-
 class IdentityIndex:
     """``index_of`` mapping for snapshots whose labels are exactly ``0..n-1``.
 
@@ -453,17 +442,6 @@ def resolve_numpy_threshold() -> int:
     """
     return _env_threshold(NUMPY_THRESHOLD_ENV_VAR,
                           DEFAULT_NUMPY_AUTO_THRESHOLD)
-
-
-def resolve_native_threshold() -> int:
-    """Resolve the minimum size for ``backend="auto"`` to prefer native.
-
-    Reads ``KH_CORE_NATIVE_THRESHOLD``, defaulting to
-    :data:`DEFAULT_NATIVE_AUTO_THRESHOLD`, with the same hardening as
-    :func:`resolve_numpy_threshold`.
-    """
-    return _env_threshold(NATIVE_THRESHOLD_ENV_VAR,
-                          DEFAULT_NATIVE_AUTO_THRESHOLD)
 
 
 def _edge_file_payload_estimate(path: str) -> int:

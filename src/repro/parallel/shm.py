@@ -275,7 +275,7 @@ class SharedCSRView:
 
         ``np.frombuffer`` over the same shared regions the memoryview casts
         expose — no copy, no extra IPC; the NumPy worker kernel
-        (:meth:`repro.traversal.numpy_bfs.NumpyBFS.bulk`) traverses the
+        (:meth:`repro.traversal.numpy_bfs.NumpyBulk.bulk`) traverses the
         shared block directly.  Cached per view; requires NumPy (the caller
         dispatches ``engine_kind="numpy"`` only when the parent resolved a
         NumPy engine, so the import is expected to succeed).

@@ -18,16 +18,11 @@ shared arrays:
 
 * ``"csr"`` — the interpreted :class:`~repro.traversal.array_bfs.ArrayBFS`
   over ``memoryview('q')`` casts (the historical path);
-* ``"numpy"`` — the vectorized block kernel
-  (:meth:`~repro.traversal.numpy_bfs.NumpyBFS.bulk`) over zero-copy
+* ``"numpy"`` — the many-sources block kernel
+  (:meth:`~repro.traversal.numpy_bfs.NumpyBulk.bulk`) over zero-copy
   ``np.frombuffer`` views of the very same block.  If NumPy turns out to be
   unimportable in the worker (a mixed deployment), the worker silently
   falls back to the interpreted kernel — results are identical either way.
-* ``"native"`` — the compiled block kernel
-  (:meth:`~repro.traversal.native_bfs.NativeBFS.bulk`) over the same
-  zero-copy views.  A worker without a working Numba downgrades silently
-  to the NumPy kernel, and from there (no NumPy either) to the
-  interpreted one — the same ladder ``backend="auto"`` climbs, descended.
 """
 
 from __future__ import annotations
@@ -64,7 +59,7 @@ _STATE: Dict[str, Any] = {
 def _detach() -> None:
     """Drop the cached attachment (called when the export generation moves).
 
-    The scratch is dropped *before* the view is closed: the NumPy scratch
+    The kernel is dropped *before* the view is closed: the NumPy kernel
     holds ``np.frombuffer`` views that pin the shared block's memoryviews,
     and releasing a pinned memoryview raises ``BufferError``.
     """
@@ -119,33 +114,18 @@ def _attach(layout: SharedCSRLayout, engine_kind: str) -> None:
         raise FaultInjectedError("shm.attach_fail",
                                  "simulated shared-memory attach failure")
     view = SharedCSRView(layout)
-    kind = engine_kind
+    kind = "csr"
     bfs: Any = None
-    if kind == "native":
+    if engine_kind == "numpy":
         try:
-            from repro.traversal.native_bfs import (
-                NativeBFS,
-                native_kernels_enabled,
-            )
+            from repro.traversal.numpy_bfs import NumpyBulk
 
-            if not native_kernels_enabled():
-                raise ImportError("numba unavailable in worker")
             indptr, adjacency, _ = view.numpy_views()
-            bfs = NativeBFS.from_arrays(indptr, adjacency)
-        except ImportError:
-            # Silent downgrade, one rung at a time: a Numba-less worker
-            # still runs the vectorized kernel if it has NumPy.
+            bfs = NumpyBulk.from_arrays(indptr, adjacency)
             kind = "numpy"
-    if kind == "numpy" and bfs is None:
-        try:
-            from repro.traversal.numpy_bfs import NumpyBFS
-
-            indptr, adjacency, _ = view.numpy_views()
-            bfs = NumpyBFS.from_arrays(indptr, adjacency)
         except ImportError:
-            kind = "csr"
+            pass  # a NumPy-less worker runs the interpreted kernel
     if bfs is None:
-        kind = "csr"
         bfs = ArrayBFS(view)
     _STATE.update(key=_layout_key(layout), requested=engine_kind, kind=kind,
                   view=view, bfs=bfs)
@@ -172,10 +152,10 @@ def run_chunk(layout: SharedCSRLayout, chunk: List[int], h: int,
         _attach(layout, engine_kind)
     local = Counters()
 
-    if _STATE["kind"] in ("numpy", "native"):
-        # Block kernel (vectorized or compiled) straight over the shared
-        # arrays.  The alive region is read per call (a frontier filter),
-        # so no per-stamp mask reinstall is needed on this path.
+    if _STATE["kind"] == "numpy":
+        # Many-sources block kernel straight over the shared arrays.  The
+        # alive region is read per call (a frontier filter), so no
+        # per-stamp mask reinstall is needed on this path.
         view: SharedCSRView = _STATE["view"]
         alive_view = view.numpy_views()[2] if use_alive else None
         degrees = _STATE["bfs"].bulk(chunk, h, alive_view, local)

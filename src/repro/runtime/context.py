@@ -54,15 +54,14 @@ class ExecutionContext:
     graph:
         The graph every phase of the computation runs against.
     backend:
-        Backend name (``"dict"`` / ``"csr"`` / ``"numpy"`` / ``"native"`` /
-        ``"auto"``) or a pre-built engine.  Name-resolved engines are
-        *owned*: :meth:`close` tears them down.  A supplied engine is
-        borrowed and never closed.  ``"auto"`` prefers the compiled native
-        engine when Numba is importable and the graph clears the
-        ``KH_CORE_NATIVE_THRESHOLD`` size gate, then the vectorized NumPy
-        engine above ``KH_CORE_NUMPY_THRESHOLD``, stepping down to the
-        interpreted CSR engine (and ultimately the dict engine)
-        transparently.
+        Backend name (``"dict"`` / ``"csr"`` / ``"numpy"`` / ``"auto"``) or
+        a pre-built engine.  Name-resolved engines are *owned*:
+        :meth:`close` tears them down.  A supplied engine is borrowed and
+        never closed.  ``"auto"`` climbs the ladder dict → csr → numpy: the
+        NumPy engine (the CSR engine with a NumPy bulk h-degree kernel)
+        above ``KH_CORE_NUMPY_THRESHOLD`` when NumPy is importable, the CSR
+        engine below it, and the dict engine for graphs whose vertices are
+        not all ints.
     executor:
         Scheduler for the bulk h-degree passes (``"serial"`` / ``"thread"``
         / ``"process"``).

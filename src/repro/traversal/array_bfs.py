@@ -29,7 +29,7 @@ thread-safe (each worker thread owns its own — see
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, MutableSequence, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import VertexNotFoundError
 from repro.graph.csr import CSRGraph
@@ -39,12 +39,10 @@ from repro.instrumentation import Counters, NULL_COUNTERS
 #: Sentinel stored in ``seen`` for dead vertices: compares greater than every
 #: generation number, so ``seen[u] < generation`` rejects dead vertices with
 #: the same comparison that rejects already-visited ones.  An *integer*
-#: sentinel (``int64`` max) keeps ``seen`` homogeneous-int in both the list
-#: scratch here and the ``int64`` ndarray scratch of the NumPy engine
-#: (:mod:`repro.traversal.numpy_bfs`), which share :class:`AliveMask` and its
-#: sentinel-upkeep protocol.  Generations count traversals, so they can never
-#: realistically approach ``2**63 - 1``; :meth:`ArrayBFS.run` still guards
-#: the rollover and resets the scratch if it ever happens.
+#: sentinel keeps ``seen`` a homogeneous list of ints.  Generations count
+#: traversals, so they can never realistically approach ``2**63 - 1``;
+#: :meth:`ArrayBFS.run` still guards the rollover and resets the scratch if
+#: it ever happens.
 DEAD = 2**63 - 1
 
 
@@ -63,10 +61,9 @@ class AliveMask:
     def __init__(self, mask: bytearray, count: int) -> None:
         self.mask = mask
         self._count = count
-        # The installed scratch's visit marks: a plain list of ints for
-        # ArrayBFS, an int64 ndarray for the NumPy scratch — both support
-        # the only operation upkeep needs, ``seen[index] = DEAD``.
-        self._seen: Optional[MutableSequence[int]] = None
+        # The visit marks of the ArrayBFS this mask is installed in, which
+        # discard keeps in sync (``seen[index] = DEAD``).
+        self._seen: Optional[List[int]] = None
 
     @classmethod
     def full(cls, n: int) -> "AliveMask":

@@ -1,39 +1,30 @@
-"""Vectorized h-bounded BFS kernels over CSR arrays (the ``numpy`` engine).
+"""NumPy many-sources h-degree kernel for the ``numpy`` engine's bulk pass.
 
-This is the third traversal tier, above the dict-of-sets reference BFS
-(:mod:`repro.traversal.bfs`) and the interpreted flat-array loop
-(:mod:`repro.traversal.array_bfs`).  The structure is the level-synchronous
-frontier batching that the SIGMOD-contest analyses identify as the winning
-pattern for neighborhood-heavy graph queries, mapped 1:1 onto NumPy
-gather/scatter primitives:
+The per-vertex traversals (h-degree fills, bounds, the peel's decrements)
+run on the interpreted :class:`~repro.traversal.array_bfs.ArrayBFS` on
+every CSR engine: one NumPy dispatch per BFS level costs more than the
+interpreted loop saves on a single source.  What NumPy wins is the bulk
+h-degree pass, where many sources share each dispatch.
+:class:`NumpyBulk` is that kernel, mapped onto NumPy gather/scatter
+primitives:
 
-* **Frontier expansion is one gather.**  The neighbors of the whole frontier
+* **Frontier expansion is one gather.**  The neighbors of a whole frontier
   are materialized with a single ``indptr``-sliced gather of ``adjacency``
-  (the ``arange + repeat`` range-concatenation trick), filtered against the
-  visit marks with one vectorized compare, and deduplicated in
-  first-occurrence order — exactly the visit order of the interpreted loop,
-  so removal orders and counter totals stay identical across engines.
-* **Generation-stamped ``seen`` ndarray.**  Visit marks live in one ``int64``
-  ndarray; a call bumps the generation instead of clearing, and installed
-  :class:`~repro.traversal.array_bfs.AliveMask` deaths are folded in as the
-  integer :data:`~repro.traversal.array_bfs.DEAD` sentinel — the same
-  protocol as :class:`~repro.traversal.array_bfs.ArrayBFS`, sharing the same
-  mask objects and ``discard`` upkeep.
-* **Many-sources block mode.**  :meth:`NumpyBFS.bulk` expands a whole block
-  of BFS sources per kernel invocation: frontiers are ``(slot, vertex)``
-  pairs in flat arrays, visit marks live in one flat ``slot·n + vertex``
-  stamped array, and per-source h-degrees fall out of a ``bincount``.  The
-  per-level NumPy dispatch cost is amortized over the entire block, which is
-  what makes the bulk h-degree pass fast — single-source dispatch overhead
-  is the reason ``backend="auto"`` keeps tiny graphs on the interpreted CSR
-  engine.
+  (the ``arange + repeat`` range-concatenation trick, see
+  :func:`_gather_neighbors`).
+* **Many-sources block mode.**  :meth:`NumpyBulk.bulk` expands a whole
+  block of BFS sources per kernel invocation: frontiers are
+  ``(slot, vertex)`` pairs in flat arrays, visit marks live in one flat
+  ``slot·n + vertex`` stamped array, and per-source visit counts are summed
+  level by level.  The per-level NumPy dispatch cost is amortized over the
+  entire block.
 * **Bit-parallel dense mode.**  When the h-balls cover a large fraction of
   the graph (hub-dominated topologies, larger ``h``), the frontier kernel
   pays per *candidate edge* while a bit-parallel sweep pays per 64: 64
   sources share one ``uint64`` lane, a level is one gather +
   ``bitwise_or.reduceat`` over the whole edge array, and h-degrees are bit
   counts of the reachability rows (the multi-source trick of Akiba et al.'s
-  pruned landmark labeling).  :meth:`NumpyBFS.bulk` picks the cheaper of
+  pruned landmark labeling).  :meth:`NumpyBulk.bulk` picks the cheaper of
   the two kernels per call from a sampled candidate-volume probe; both
   produce identical counts, so the choice is invisible to callers.
 
@@ -44,12 +35,12 @@ pure-Python engines when it is absent.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.instrumentation import Counters, NULL_COUNTERS
-from repro.traversal.array_bfs import DEAD, AliveMask
+from repro.traversal.array_bfs import AliveMask
 
 #: Upper bound on the number of *entries* of the block-mode visit-mark
 #: scratch (``block_size × num_vertices`` uint8 stamps, 4 MiB at the
@@ -72,7 +63,7 @@ DENSE_MEMORY_BUDGET = 256 << 20
 #: below this the frontier kernel's fixed costs are already negligible.
 DENSE_MIN_SOURCES = 256
 
-#: Single-source BFS probes used to estimate the bulk candidate volume.
+#: Sampled sources whose balls estimate the bulk candidate volume.
 DENSE_PROBE_SAMPLES = 8
 
 #: Calibrated break-even: the dense sweep wins once the frontier kernel
@@ -82,11 +73,6 @@ DENSE_PROBE_SAMPLES = 8
 DENSE_SELECT_DIVISOR = 200
 
 _INT32_MAX = 2**31 - 1
-
-
-def _as_int64(values: object) -> "np.ndarray":
-    """View/convert ``values`` as a 1-D contiguous int64 ndarray."""
-    return np.ascontiguousarray(values, dtype=np.int64)
 
 
 def _as_index_array(values: object) -> "np.ndarray":
@@ -142,52 +128,23 @@ def _gather_neighbors(indptr: "np.ndarray", adjacency: "np.ndarray",
     return adjacency[positions], degs
 
 
-def _dedup_first(keys: "np.ndarray", claim: "np.ndarray") -> "np.ndarray":
-    """Boolean mask keeping the *first* occurrence of every key, in O(k).
+class NumpyBulk:
+    """Many-sources h-degree kernel over one CSR snapshot.
 
-    NumPy scatter assignment with repeated indices applies the writes in
-    index-array order (last write wins), so scattering the *reversed*
-    positions leaves each ``claim[key]`` holding the position of the key's
-    first occurrence; gathering back and comparing yields the winners.  No
-    sort anywhere — this is what keeps frontier dedup linear where
-    ``np.unique`` would pay O(k log k) per level.  ``claim`` needs no
-    clearing between calls: every entry read here was written one line
-    earlier.
-    """
-    positions = np.arange(keys.size, dtype=np.int64)
-    claim[keys[::-1]] = positions[::-1]
-    return claim[keys] == positions
-
-
-class NumpyBFS:
-    """Reusable vectorized BFS scratch over one CSR snapshot.
-
-    Drop-in structural twin of :class:`~repro.traversal.array_bfs.ArrayBFS`:
-    same constructor shape (anything exposing ``indptr`` / ``adjacency`` /
-    ``num_vertices``), same :meth:`run` contract, same ``order`` /
-    ``level_ends`` buffers the array peel kernels read directly, and the
-    same :class:`AliveMask` install/discard protocol — which is what lets
-    the ``numpy`` engine drive the *unchanged* peel kernels and produce
-    bit-identical removal orders.  Not thread-safe; clone per worker via
-    :meth:`clone`.
+    Takes anything exposing ``indptr`` / ``adjacency`` / ``num_vertices``
+    (a :class:`~repro.graph.csr.CSRGraph`, or the shared-memory workers'
+    arrays via :meth:`from_arrays`).  :meth:`bulk` is its one entry point.
+    Not thread-safe: the stamp scratch is reused across calls, so worker
+    threads each take a :meth:`clone`.
     """
 
-    __slots__ = ("indptr", "adjacency", "num_vertices", "order", "level_ends",
-                 "_seen", "_claim", "_generation", "_active", "_block_seen",
+    __slots__ = ("indptr", "adjacency", "num_vertices", "_block_seen",
                  "_dense_idx", "_dense_empty")
 
     def __init__(self, csr: object) -> None:
         self.indptr = _as_index_array(csr.indptr)
         self.adjacency = _as_index_array(csr.adjacency)
         self.num_vertices = int(csr.num_vertices)
-        self.order: List[int] = []
-        self.level_ends: List[int] = []
-        self._seen = np.zeros(self.num_vertices, dtype=np.int64)
-        # Scratch for the O(k) scatter-claim dedup (see _dedup_first): never
-        # needs clearing — every entry read was written in the same level.
-        self._claim = np.zeros(self.num_vertices, dtype=np.int64)
-        self._generation = 0
-        self._active: Optional[AliveMask] = None
         self._block_seen: Optional["np.ndarray"] = None
         # Lazy dense-mode caches: reduceat row starts (intp, clipped for the
         # trailing-empty-row quirk) and the empty-row mask.
@@ -196,8 +153,8 @@ class NumpyBFS:
 
     @classmethod
     def from_arrays(cls, indptr: "np.ndarray",
-                    adjacency: "np.ndarray") -> "NumpyBFS":
-        """Build a scratch over pre-existing int64 arrays (no copy).
+                    adjacency: "np.ndarray") -> "NumpyBulk":
+        """Build a kernel over pre-existing int64 arrays (no copy).
 
         Used by the shared-memory workers, whose arrays are zero-copy
         ``np.frombuffer`` views of the shared block.
@@ -205,95 +162,9 @@ class NumpyBFS:
         holder = _CSRArrays(indptr, adjacency)
         return cls(holder)
 
-    def clone(self) -> "NumpyBFS":
-        """A new scratch sharing this one's CSR arrays (for worker threads)."""
-        return NumpyBFS.from_arrays(self.indptr, self.adjacency)
-
-    # ------------------------------------------------------------------ #
-    # single-source traversal (peel hot path)
-    # ------------------------------------------------------------------ #
-    def _install(self, alive: Optional[AliveMask], hook: bool) -> None:
-        """Rebuild ``seen`` for a new alive context (O(n), vectorized)."""
-        previous = self._active
-        if previous is not None and previous._seen is self._seen:
-            previous._seen = None
-        if alive is None:
-            self._seen = np.zeros(self.num_vertices, dtype=np.int64)
-        else:
-            seen = np.full(self.num_vertices, DEAD, dtype=np.int64)
-            mask = _alive_view(alive)
-            if mask is not None and mask.size:
-                seen[mask != 0] = 0
-            self._seen = seen
-            if hook:
-                alive._seen = self._seen
-        self._active = alive
-
-    def run(self, source: int, h: Optional[int],
-            alive: Optional[AliveMask] = None,
-            counters: Counters = NULL_COUNTERS,
-            hook: bool = True) -> int:
-        """BFS from index ``source`` truncated at depth ``h``.
-
-        Identical contract (and identical visit order, level segmentation
-        and counter recording) to :meth:`ArrayBFS.run
-        <repro.traversal.array_bfs.ArrayBFS.run>`; only the frontier
-        expansion is vectorized.
-        """
-        if alive is not self._active:
-            self._install(alive, hook)
-        if self._generation + 1 >= DEAD:
-            # Same rollover guard as ArrayBFS: reinstalling resets every
-            # stamp to 0/DEAD, so restarting from generation 1 is sound.
-            self._install(self._active, hook)
-            self._generation = 0
-        seen = self._seen
-        indptr = self.indptr
-        adjacency = self.adjacency
-        self._generation += 1
-        generation = self._generation
-
-        seen[source] = generation
-        frontier = np.array([source], dtype=np.int64)
-        levels = [frontier]
-        level_ends = [1]
-        total = 1
-        depth = 0
-        while frontier.size and (h is None or depth < h):
-            depth += 1
-            cand, _ = _gather_neighbors(indptr, adjacency, frontier)
-            if cand is None:
-                break
-            cand = cand[seen[cand] < generation]
-            if cand.size == 0:
-                break
-            # First-occurrence dedup: matches the order in which the
-            # interpreted loop first reaches each vertex, so removal orders
-            # stay engine-identical.
-            frontier = cand[_dedup_first(cand, self._claim)]
-            seen[frontier] = generation
-            levels.append(frontier)
-            total += frontier.size
-            level_ends.append(total)
-        order = levels[0] if len(levels) == 1 else np.concatenate(levels)
-        self.order = order.tolist()
-        self.level_ends = level_ends
-        counters.record_bfs(total - 1)
-        return total - 1
-
-    def visited(self) -> List[int]:
-        """Visited vertex indices of the last run, source excluded (a copy)."""
-        return self.order[1:]
-
-    def visited_with_distance(self) -> List[Tuple[int, int]]:
-        """``(index, distance)`` pairs of the last run, source excluded."""
-        out: List[Tuple[int, int]] = []
-        order = self.order
-        start = 1
-        for depth, end in enumerate(self.level_ends[1:], start=1):
-            out.extend((u, depth) for u in order[start:end])
-            start = end
-        return out
+    def clone(self) -> "NumpyBulk":
+        """A new kernel sharing this one's CSR arrays (for worker threads)."""
+        return NumpyBulk.from_arrays(self.indptr, self.adjacency)
 
     # ------------------------------------------------------------------ #
     # many-sources block mode (bulk h-degree passes)
@@ -321,8 +192,8 @@ class NumpyBFS:
         produce identical counts — the probe decides speed, never results.
 
         Records one BFS per source into ``counters`` (batch form; totals
-        identical to the per-source engines).  Returns an int64 ndarray
-        aligned with ``sources``.
+        identical to a per-source :class:`~repro.traversal.array_bfs.ArrayBFS`
+        loop).  Returns an int64 ndarray aligned with ``sources``.
         """
         src = _as_index_array(list(sources))
         out = np.zeros(src.size, dtype=np.int64)
@@ -359,8 +230,9 @@ class NumpyBFS:
         State per live ``(slot, vertex)`` pair is one byte in the flat
         ``slot·n + vertex`` scratch, stamped with the level that first
         reached it; each level gathers the neighbors of every pair at once
-        and a ``bincount`` over the deduplicated keys accumulates per-slot
-        visits.  Dedup within a level is adaptive:
+        and a binary search of the sorted, deduplicated keys against the
+        slot bases accumulates per-slot visits.  Dedup within a level is
+        adaptive:
 
         * sparse levels sort the candidate keys (``np.unique`` touches only
           the candidates — cache-friendly O(k log k));
@@ -481,24 +353,38 @@ class NumpyBFS:
             # Duplicate sources would collide on one (lane, vertex) bit in
             # the dense init; the frontier kernel gives each its own slot.
             # (Engine callers always pass unique targets — this is a guard
-            # for direct scratch users.)
+            # for direct kernel users.)
             return False
         stride = max(1, src.size // DENSE_PROBE_SAMPLES)
         sample = src[::stride][:DENSE_PROBE_SAMPLES]
-        indptr = self.indptr
-        candidates = []
-        for source in sample.tolist():
-            # Only vertices within distance h-1 are ever expanded (the
-            # final level is reached, never gathered from), so a depth-(h-1)
-            # traversal prices the pass exactly at a fraction of its cost.
-            self.run(int(source), h - 1)
-            rows = np.asarray(self.order, dtype=np.int64)
-            candidates.append(int((indptr[rows + 1] - indptr[rows]).sum()))
+        # Only vertices within distance h-1 are ever expanded (the final
+        # level is reached, never gathered from), so a depth-(h-1) ball
+        # prices the pass exactly at a fraction of its cost.
+        candidates = [self._ball_volume(source, h - 1)
+                      for source in sample.tolist()]
         # Median, not mean: on skewed degree distributions the strided
         # sample can land on a hub whose ball dwarfs the typical source's,
         # and one outlier must not flip the whole pass to the dense sweep.
         estimated = float(np.median(candidates)) * src.size
         return estimated * DENSE_SELECT_DIVISOR > src.size * h * m2
+
+    def _ball_volume(self, source: int, depth: int) -> int:
+        """Adjacency entries of every vertex within ``depth`` of ``source``."""
+        indptr = self.indptr
+        seen = np.zeros(self.num_vertices, dtype=bool)
+        seen[source] = True
+        frontier = np.array([source], dtype=np.int64)
+        volume = int(indptr[source + 1] - indptr[source])
+        for _ in range(depth):
+            cand, _ = _gather_neighbors(indptr, self.adjacency, frontier)
+            if cand is None:
+                break
+            frontier = np.unique(cand[~seen[cand]])
+            if frontier.size == 0:
+                break
+            seen[frontier] = True
+            volume += int((indptr[frontier + 1] - indptr[frontier]).sum())
+        return volume
 
     def _run_dense(self, src: "np.ndarray", h: int) -> "np.ndarray":
         """Bit-parallel many-source sweep; returns h-degrees aligned with src.
@@ -560,7 +446,7 @@ class NumpyBFS:
 
 
 class _CSRArrays:
-    """Minimal CSR-shaped holder for :meth:`NumpyBFS.from_arrays`."""
+    """Minimal CSR-shaped holder for :meth:`NumpyBulk.from_arrays`."""
 
     __slots__ = ("indptr", "adjacency", "num_vertices")
 

@@ -25,12 +25,6 @@ from repro.resilience.janitor import run_doctor
 from repro.runtime import ExecutionContext
 
 
-@pytest.fixture(autouse=True)
-def _interpreted_native(monkeypatch):
-    """Run the native cells without a compiler (results identical)."""
-    monkeypatch.setenv("KH_CORE_NATIVE_ALLOW_INTERPRETED", "1")
-
-
 def _chaos_graph():
     # Uneven degrees so the LPT chunk plan produces distinct chunks and a
     # killed worker genuinely takes unfinished chunks with it.
@@ -38,13 +32,6 @@ def _chaos_graph():
     for i in range(0, 24, 3):
         graph.add_edge(i, (i * 7 + 11) % graph.num_vertices)
     return graph
-
-
-def _engines_under_test():
-    engines = ["csr"]
-    if numpy_available():
-        engines += ["numpy", "native"]
-    return engines
 
 
 def _strip_resilience(counts):
@@ -77,12 +64,12 @@ def _supervised(graph, h, engine_name, algorithm="h-BZ"):
 # --------------------------------------------------------------------- #
 class TestWorkerKill:
     @pytest.mark.parametrize("h", [1, 2, 3])
-    @pytest.mark.parametrize("engine_name", ["csr", "numpy", "native"])
+    @pytest.mark.parametrize("engine_name", ["csr", "numpy"])
     def test_one_kill_per_dispatch_is_bit_identical_to_serial(
             self, engine_name, h):
         """Kill one pool worker at every dispatch generation; nothing in
         the output may change — cores, removal order, or counter totals."""
-        if engine_name in ("numpy", "native") and not numpy_available():
+        if engine_name == "numpy" and not numpy_available():
             pytest.skip("NumPy not installed")
         graph = _chaos_graph()
         expected, expected_counts = _reference(graph, h, engine_name)

@@ -36,6 +36,12 @@ class TestParser:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
+    def test_removed_native_backend_rejected(self, edge_list_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(edge_list_file), "--backend", "native"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'native'" in capsys.readouterr().err
+
     def test_no_parser_matches_prefixes(self):
         import argparse
 

@@ -1,21 +1,11 @@
 """Executor x engine interaction battery.
 
-BENCH_PR5's engine x executor matrix exposed that the thread executor added
-nothing to the interpreted engines (every kernel held the GIL); the native
-engine exists to change that.  This battery is the *correctness* half of
-the regression guard: every (engine, executor, workers) cell must produce
-the same label-space h-degrees, the same decomposition, and the same merged
-counter totals as the serial reference — including the native engine on
-the thread path, where the kernels genuinely run concurrently (the GIL is
-released), making result identity a real concurrency-safety assertion
-rather than a tautology.
-
-The wall-clock half (thread no worse than serial for csr/numpy, thread
-*faster* than serial for native) lives in ``benchmarks/test_native_engine.py``
-with the other timing assertions, under the usual quick-mode/xdist guards.
-
-The native engine runs through its interpreted-kernel lever when Numba is
-absent (identical results); everything needing ndarrays skips without NumPy.
+Every (engine, executor, workers) cell must produce the same label-space
+h-degrees, the same decomposition, and the same merged counter totals as
+the serial reference.  On the numpy engine each thread batch runs a cloned
+NumPy bulk kernel over the shared snapshot arrays, so result identity there
+is a concurrency-safety assertion, not a tautology.  Everything needing
+ndarrays skips without NumPy.
 """
 
 from __future__ import annotations
@@ -35,16 +25,10 @@ EXECUTOR_CELLS = [("serial", 1), ("thread", 2), ("thread", 4),
                   ("process", 2)]
 
 
-@pytest.fixture(autouse=True)
-def _allow_interpreted_kernels(monkeypatch):
-    """Run the native cells without a compiler (results identical)."""
-    monkeypatch.setenv("KH_CORE_NATIVE_ALLOW_INTERPRETED", "1")
-
-
 def _engines_under_test():
     engines = ["dict", "csr"]
     if numpy_available():
-        engines += ["numpy", "native"]
+        engines.append("numpy")
     return engines
 
 
@@ -59,11 +43,10 @@ def _matrix_graph():
 
 
 class TestResultIdentity:
-    @pytest.mark.parametrize("engine_name", ["dict", "csr", "numpy",
-                                             "native"])
+    @pytest.mark.parametrize("engine_name", ["dict", "csr", "numpy"])
     def test_bulk_h_degrees_identical_across_executors(self, engine_name):
         """Every executor cell returns the serial cell's exact dict."""
-        if engine_name in ("numpy", "native") and not numpy_available():
+        if engine_name == "numpy" and not numpy_available():
             pytest.skip("NumPy not installed")
         graph = _matrix_graph()
         engine = resolve_engine(graph, engine_name)
@@ -82,19 +65,19 @@ class TestResultIdentity:
     @requires_numpy
     @pytest.mark.parametrize("executor,workers", EXECUTOR_CELLS,
                              ids=[f"{e}-{w}" for e, w in EXECUTOR_CELLS])
-    def test_native_thread_matches_csr_serial(self, executor, workers):
-        """The GIL-free path against the interpreted reference, cell by cell."""
+    def test_numpy_matches_csr_serial(self, executor, workers):
+        """The NumPy bulk kernel against the ArrayBFS reference, per cell."""
         graph = _matrix_graph()
         csr = resolve_engine(graph, "csr")
-        compiled = resolve_engine(graph, "native")
+        vectorized = resolve_engine(graph, "numpy")
         try:
             expected = csr.to_labels(csr.bulk_h_degrees(2))
-            got = compiled.to_labels(compiled.bulk_h_degrees(
+            got = vectorized.to_labels(vectorized.bulk_h_degrees(
                 2, executor=executor, num_workers=workers))
             assert got == expected
         finally:
             csr.close()
-            compiled.close()
+            vectorized.close()
 
     def test_decomposition_identical_across_matrix(self):
         """Full h-LB runs: cores and removal orders agree in every cell."""
@@ -132,28 +115,28 @@ class TestResultIdentity:
             assert all(t == totals[0] for t in totals), engine_name
 
     @requires_numpy
-    def test_native_thread_under_peeling_alive_masks(self):
+    def test_numpy_thread_under_peeling_alive_masks(self):
         """Threaded bulk passes over shrinking alive sets stay identical.
 
-        Exercises the mid-peel shape: an alive mask with discards, a target
-        subset, and multiple thread workers hitting the compiled bulk
-        kernel through cloned scratches.
+        Exercises the mid-peel shape: an alive mask, a target subset, and
+        multiple thread workers hitting the NumPy bulk kernel through
+        cloned kernels.
         """
         graph = _matrix_graph()
         csr = resolve_engine(graph, "csr")
-        compiled = resolve_engine(graph, "native")
+        vectorized = resolve_engine(graph, "numpy")
         try:
             survivors = [i for i in csr.nodes() if i % 3 != 0]
             masks = {"csr": csr.alive_subset(survivors),
-                     "native": compiled.alive_subset(survivors)}
+                     "numpy": vectorized.alive_subset(survivors)}
             expected = csr.bulk_h_degrees(2, targets=survivors,
                                           alive=masks["csr"])
             for workers in (2, 4):
-                got = compiled.bulk_h_degrees(2, targets=survivors,
-                                              alive=masks["native"],
-                                              executor="thread",
-                                              num_workers=workers)
+                got = vectorized.bulk_h_degrees(2, targets=survivors,
+                                                alive=masks["numpy"],
+                                                executor="thread",
+                                                num_workers=workers)
                 assert got == expected, workers
         finally:
             csr.close()
-            compiled.close()
+            vectorized.close()

@@ -1,13 +1,14 @@
 """Parity and lifecycle tests for the vectorized NumPy engine.
 
-The numpy engine is not "approximately the CSR engine but faster": it drives
-the *same* peel kernels through a structurally-twin scratch, so core
-numbers, h-degrees, removal orders and instrumentation totals must be
-bit-identical to the interpreted engines.  The battery asserts exactly
-that — across every generator family, for h in {1, 2, 3}, under permuted
-vertex insertion orders (so permuted CSR indices), through both bulk
-kernels (stamped frontier and bit-parallel dense), over every executor, and
-through the shared-memory process path's zero-copy ``np.frombuffer`` views.
+The numpy engine is the CSR engine with a NumPy bulk h-degree kernel: its
+peel, bounds and per-vertex traversals run on the same ``ArrayBFS``
+scratch, so core numbers, h-degrees, removal orders and instrumentation
+totals must be bit-identical to the interpreted engines.  The battery
+asserts exactly that — across every generator family, for h in {1, 2, 3},
+under permuted vertex insertion orders (so permuted CSR indices), through
+both bulk kernels (stamped frontier and bit-parallel dense), over every
+executor, and through the shared-memory process path's zero-copy
+``np.frombuffer`` views.
 
 Everything here skips cleanly when NumPy is absent except the fallback
 battery at the bottom, which asserts the *degraded* behavior: ``auto``
@@ -177,63 +178,52 @@ class TestAlgorithmParity:
 
 
 # --------------------------------------------------------------------- #
-# scratch-level parity (single-source runs, both bulk kernels)
+# kernel-level parity (ArrayBFS per source against both bulk kernels)
 # --------------------------------------------------------------------- #
 @requires_numpy
 class TestScratchParity:
     def scratches(self, graph):
-        from repro.traversal.numpy_bfs import NumpyBFS
+        from repro.traversal.numpy_bfs import NumpyBulk
 
         csr = CSRGraph.from_graph(graph)
-        return csr, ArrayBFS(csr), NumpyBFS(csr)
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES), ids=sorted(FAMILIES))
-    def test_single_source_identical_orders(self, family):
-        """Visit order, level segmentation, distances: all identical."""
-        graph = FAMILIES[family]()
-        csr, interpreted, vectorized = self.scratches(graph)
-        for source in range(csr.num_vertices):
-            for h in (1, 2, None):
-                a = interpreted.run(source, h)
-                b = vectorized.run(source, h)
-                assert a == b
-                assert interpreted.order == vectorized.order
-                assert interpreted.level_ends == vectorized.level_ends
-                assert (interpreted.visited_with_distance()
-                        == vectorized.visited_with_distance())
+        return csr, ArrayBFS(csr), NumpyBulk(csr)
 
     def test_alive_mask_and_discard_sync(self):
-        """Shared AliveMask protocol: installs and discards stay in sync."""
+        """Discards reach both kernels: ArrayBFS's sentinels, bulk's filter."""
         graph = gen.relaxed_caveman_graph(3, 5, 0.2, seed=1)
         csr, interpreted, vectorized = self.scratches(graph)
-        a_mask = AliveMask.full(csr.num_vertices)
-        b_mask = AliveMask.full(csr.num_vertices)
+        mask = AliveMask.full(csr.num_vertices)
         order = list(range(csr.num_vertices))
         for victim in order[::2]:
-            assert (interpreted.run(victim, 2, a_mask)
-                    == vectorized.run(victim, 2, b_mask))
-            assert interpreted.order == vectorized.order
-            # Discard after the run: the next runs must skip the victim via
-            # the DEAD sentinel both scratches share.
-            a_mask.discard(victim)
-            b_mask.discard(victim)
+            interpreted.run(victim, 2, mask)
+            # Discard while installed: the next runs must skip the victim
+            # via the DEAD sentinel, and the bulk kernel via the mask bytes.
+            mask.discard(victim)
         survivors = [v for v in order if v not in set(order[::2])]
-        for source in survivors:
-            assert (interpreted.run(source, 3, a_mask)
-                    == vectorized.run(source, 3, b_mask))
-            assert interpreted.order == vectorized.order
+        expected = [interpreted.run(source, 3, mask) for source in survivors]
+        assert vectorized.bulk(survivors, 3, mask).tolist() == expected
+        fresh = ArrayBFS(csr)
+        assert [fresh.run(source, 3, mask) for source in survivors] == expected
 
     def test_generation_rollover_is_sound(self):
         """Forcing the generation to the sentinel resets instead of corrupting."""
         graph = gen.cycle_graph(8)
         _, interpreted, vectorized = self.scratches(graph)
-        expected = vectorized.run(0, 2)
-        vectorized._generation = DEAD - 1
-        assert vectorized.run(0, 2) == expected
-        assert vectorized._generation == 1  # restarted after the reinstall
+        expected = vectorized.bulk([0], 2).tolist()[0]
         interpreted._generation = DEAD - 1
         assert interpreted.run(0, 2) == expected
-        assert interpreted._generation == 1
+        assert interpreted._generation == 1  # restarted after the reinstall
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES), ids=sorted(FAMILIES))
+    def test_probe_prices_the_arraybfs_ball(self, family):
+        """The dense-mode probe's ball volume is the ArrayBFS ball's."""
+        graph = FAMILIES[family]()
+        csr, interpreted, vectorized = self.scratches(graph)
+        for source in range(csr.num_vertices):
+            for depth in (1, 2):
+                interpreted.run(source, depth)
+                expected = sum(csr.degree(v) for v in interpreted.order)
+                assert vectorized._ball_volume(source, depth) == expected
 
     def test_block_and_dense_kernels_agree(self):
         """Both bulk kernels and the per-source loop: one answer."""
@@ -261,7 +251,7 @@ class TestScratchParity:
         _, interpreted, vectorized = self.scratches(graph)
         expected = [interpreted.run(v, 2) for v in range(31)]
         for choice in (True, False):
-            monkeypatch.setattr(numpy_bfs.NumpyBFS, "_dense_preferred",
+            monkeypatch.setattr(numpy_bfs.NumpyBulk, "_dense_preferred",
                                 lambda self, src, h, _c=choice: _c)
             assert vectorized.bulk(range(31), 2).tolist() == expected
 
@@ -378,19 +368,21 @@ class TestEngineResolution:
         assert isinstance(engine, CSREngine)
         assert type(engine) is CSREngine
 
-    def test_refresh_rebuilds_vectorized_scratch(self):
-        from repro.traversal.numpy_bfs import NumpyBFS
-
+    def test_peels_on_arraybfs_and_refresh_rebuilds_bulk_kernel(self):
+        """Per-vertex work runs on ArrayBFS; bulk passes see new topology."""
         graph = gen.cycle_graph(10)
         engine = NumpyEngine(graph)
-        assert isinstance(engine.scratch, NumpyBFS)
+        assert isinstance(engine.scratch, ArrayBFS)
         before = _label_degrees(engine, 2)
         graph.add_edge(0, 5)
         engine.refresh({0, 5})
-        assert isinstance(engine.scratch, NumpyBFS)
-        after = _label_degrees(engine, 2)
-        assert after == _label_degrees(DictEngine(graph), 2)
-        assert after != before
+        assert isinstance(engine.scratch, ArrayBFS)
+        expected = _label_degrees(CSREngine(graph), 2)
+        assert expected != before
+        for executor in ("serial", "thread"):
+            # A stale cached NumPy kernel would still answer ``before``.
+            assert _label_degrees(engine, 2, executor=executor,
+                                  num_workers=2) == expected
 
     def test_relabel_through_context(self):
         """The context's engine indexes vertices in insertion order."""
