@@ -188,6 +188,24 @@ class TestScratchParity:
         csr = CSRGraph.from_graph(graph)
         return csr, ArrayBFS(csr), NumpyBulk(csr)
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES), ids=sorted(FAMILIES))
+    def test_single_source_identical_orders(self, family):
+        """Per-vertex queries: csr's visit order and distances, dict's sets."""
+        graph = FAMILIES[family]()
+        vectorized, csr, reference = (NumpyEngine(graph), CSREngine(graph),
+                                      DictEngine(graph))
+        for source in vectorized.nodes():
+            label = vectorized.label(source)
+            for h in (1, 2, 3):
+                pairs = vectorized.h_neighbors_with_distance(source, h)
+                assert pairs == csr.h_neighbors_with_distance(source, h)
+                assert (vectorized.h_neighborhood(source, h)
+                        == [v for v, _ in pairs])
+                assert vectorized.h_degree(source, h) == len(pairs)
+                expected = reference.h_neighbors_with_distance(label, h)
+                assert ({(vectorized.label(v), d) for v, d in pairs}
+                        == set(expected))
+
     def test_alive_mask_and_discard_sync(self):
         """Discards reach both kernels: ArrayBFS's sentinels, bulk's filter."""
         graph = gen.relaxed_caveman_graph(3, 5, 0.2, seed=1)
